@@ -67,18 +67,24 @@ func seedSaxpyInputs(m *core.Machine) (x, y []uint32) {
 // each other — the DSL lowering must not behave differently under the
 // golden-semantics model and the real microcode model. It also checks
 // the DSL program writes the same output memory as the hand-scheduled
-// examples/asm/saxpy.s it replaces. Regenerate the pinned digests with
-// `go test ./internal/workloads -run TestGoldenDSLKernel -update-golden`.
+// examples/asm/saxpy.s it replaces. The DSL runs' modeled outputs —
+// the core.Result on both backends, plus the microoperation mix on the
+// bit-level one — are pinned in model.json. Regenerate the pinned
+// digests with `go test ./internal/workloads -run TestGoldenDSLKernel
+// -update-golden`.
 func TestGoldenDSLKernel(t *testing.T) {
 	var want map[string]goldenDigest
+	var wantModel map[string]modelEntry
 	if !*updateGolden {
 		want = loadGolden(t)
+		wantModel = loadModel(t)
 	}
 
 	kernelProg := assembleExample(t, "saxpy_kernel.s")
 	classicProg := assembleExample(t, "saxpy.s")
 
 	got := make(map[string]goldenDigest)
+	gotModel := make(map[string]modelEntry)
 	backends := []struct {
 		name string
 		kind core.BackendKind
@@ -90,9 +96,17 @@ func TestGoldenDSLKernel(t *testing.T) {
 		t.Run(bk.name, func(t *testing.T) {
 			m := saxpyMachine(bk.kind)
 			x, y := seedSaxpyInputs(m)
-			if _, err := m.Run(kernelProg); err != nil {
+			res, err := m.Run(kernelProg)
+			if err != nil {
 				t.Fatalf("running DSL kernel: %v", err)
 			}
+			model := modelEntry{Result: &res}
+			if bb, ok := m.Backend().(*core.BitBackend); ok {
+				stats := bb.CSB().Stats
+				model.CSB = &stats
+			}
+			gotModel["asm/saxpy_kernel:"+bk.name] = model
+			checkModel(t, wantModel, "asm/saxpy_kernel:"+bk.name, model)
 			out := m.RAM().ReadWords(saxpyOut, saxpyElems)
 			for i := range out {
 				if exp := saxpyScale*x[i] + y[i]; out[i] != exp {
@@ -139,5 +153,6 @@ func TestGoldenDSLKernel(t *testing.T) {
 
 	if *updateGolden && !t.Failed() {
 		mergeGolden(t, got)
+		mergeModel(t, gotModel)
 	}
 }

@@ -113,17 +113,21 @@ func boundaryFamilies() []struct {
 // geometry the uint64 bit-slice engine masks by hand. Each family
 // seeds a deterministic register file, replays its instructions at
 // every boundary window on one backend, and digests the final register
-// file plus every scalar result. Regenerate intentional changes with
-// `go test ./internal/workloads -run TestGoldenBoundaryVectors
+// file plus every scalar result; the family's microoperation mix
+// (csb.Stats) is pinned in model.json. Regenerate intentional changes
+// with `go test ./internal/workloads -run TestGoldenBoundaryVectors
 // -update-golden`.
 func TestGoldenBoundaryVectors(t *testing.T) {
 	var want map[string]goldenDigest
+	var wantModel map[string]modelEntry
 	if !*updateGolden {
 		want = loadGolden(t)
+		wantModel = loadModel(t)
 	}
 
 	var mu sync.Mutex
 	got := make(map[string]goldenDigest)
+	gotModel := make(map[string]modelEntry)
 
 	t.Run("families", func(t *testing.T) {
 		for _, fam := range boundaryFamilies() {
@@ -156,9 +160,13 @@ func TestGoldenBoundaryVectors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				stats := b.CSB().Stats
+				model := modelEntry{CSB: &stats}
 				mu.Lock()
 				got[fam.name] = d
+				gotModel[fam.name] = model
 				mu.Unlock()
+				checkModel(t, wantModel, fam.name, model)
 				if want != nil {
 					g, ok := want[fam.name]
 					if !ok {
@@ -175,5 +183,6 @@ func TestGoldenBoundaryVectors(t *testing.T) {
 
 	if *updateGolden && !t.Failed() {
 		mergeGolden(t, got)
+		mergeModel(t, gotModel)
 	}
 }
