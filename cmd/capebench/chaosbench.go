@@ -71,7 +71,6 @@ func chaosScenarios() []chaosScenario {
 		{"hbm-late", fault.Config{Seed: chaosSeed, HBMLateProb: 0.5}},
 		{"hbm-drop", fault.Config{Seed: chaosSeed, HBMDropProb: 0.25}},
 		{"stuck-tag", fault.Config{Seed: chaosSeed, StuckTagProb: 0.3}},
-		{"chain-panic", fault.Config{Seed: chaosSeed, ChainPanicProb: 1}},
 		{"budget-storm", fault.Config{Seed: chaosSeed, BudgetStormProb: 1, BudgetStormFloor: 8}},
 	}
 }
@@ -147,14 +146,12 @@ func chaosRequest() server.Request {
 
 // chaosOptions builds a single-worker server so the fault schedule is a
 // deterministic function of the scenario seed. Resilience off disables
-// retries, the breaker, and degradation — an attempt failure is a job
-// failure.
+// retries and the breaker — an attempt failure is a job failure.
 func chaosOptions(fc fault.Config, resilience bool) server.Options {
 	o := server.Options{
 		Workers:           1,
 		MachinesPerConfig: 1,
 		RAMBytes:          1 << 20,
-		CSBWorkers:        2,
 		Faults:            fc,
 		Registry:          metrics.NewRegistry(),
 	}
@@ -165,7 +162,6 @@ func chaosOptions(fc fault.Config, resilience bool) server.Options {
 	} else {
 		o.Retries = -1
 		o.BreakerThreshold = -1
-		o.DegradeAfter = -1
 	}
 	return o
 }

@@ -1,7 +1,7 @@
 // The -check-against regression gate: a baseline JSON file records the
-// minimum expected speedups of the throughput experiments (csbparallel
-// and ucode), and the gate fails the run (exit 1) when any measured
-// speedup falls more than the baseline's tolerance below its floor.
+// minimum expected speedups of the throughput experiments, and the gate
+// fails the run (exit 1) when any measured speedup falls more than the
+// baseline's tolerance below its floor.
 // The committed baseline (testdata/bench_baseline.json) holds
 // conservative floors measured on a 2-CPU CI runner; see EXPERIMENTS.md
 // for the regeneration recipe.
@@ -15,24 +15,21 @@ import (
 	"strings"
 )
 
-// benchBaseline is the -check-against file format. Keys of CSBParallel
-// are "<config>/<inst>" (e.g. "CAPE131k/vadd.vv") matching
-// csbBenchEntry; keys of Ucode are "stream_speedup" and "e2e_speedup".
-// Values are speedup floors; the gate fails when a measurement drops
-// below floor*(1-tolerance).
+// benchBaseline is the -check-against file format. Keys of Ucode are
+// "stream_speedup" and "e2e_speedup". Values are speedup floors; the
+// gate fails when a measurement drops below floor*(1-tolerance).
 type benchBaseline struct {
-	Note        string             `json:"note,omitempty"`
-	Tolerance   float64            `json:"tolerance"`
-	CSBParallel map[string]float64 `json:"csbparallel,omitempty"`
-	Ucode       map[string]float64 `json:"ucode,omitempty"`
+	Note      string             `json:"note,omitempty"`
+	Tolerance float64            `json:"tolerance"`
+	Ucode     map[string]float64 `json:"ucode,omitempty"`
 	// Query keys are scenario names (e.g. "rel.select") matching
 	// queryBenchEntry; values are modeled-speedup floors vs the OoO
 	// baseline. Both sides are modeled, so the numbers are
 	// deterministic across hosts.
 	Query map[string]float64 `json:"query,omitempty"`
-	// Bitslice keys are "<config>/<inst>" matching bitsliceBenchEntry;
-	// values are compiled-path speedup floors vs the retired scalar
-	// engine.
+	// Bitslice keys are "<config>/<inst>" (e.g. "CAPE131k/vmul.vv")
+	// matching bitsliceBenchEntry; values are bit-slice engine speedup
+	// floors vs the scalar reference engine.
 	Bitslice map[string]float64 `json:"bitslice,omitempty"`
 	// Telemetry keys are "counters_ratio" (worst off/on throughput
 	// ratio across telemetryCounterEntry; 1.0 = counters free) and
@@ -116,18 +113,6 @@ func checkBaseline(path string, results map[string]fmt.Stringer) error {
 		fail("baseline has %s floors but the experiment did not run (add -exp %s)", section, section)
 	}
 
-	if len(bl.CSBParallel) > 0 {
-		if r, ok := results["csbparallel"].(csbBenchReport); ok {
-			cur := map[string]float64{}
-			for _, e := range r.Entries {
-				cur[e.Config+"/"+e.Inst] = e.Speedup
-			}
-			gateSection("csbparallel", bl.CSBParallel, cur)
-		} else {
-			notRun("csbparallel")
-		}
-	}
-
 	if len(bl.Ucode) > 0 {
 		if r, ok := results["ucode"].(ucodeBenchReport); ok {
 			cur := map[string]float64{"stream_speedup": r.StreamSpeedup}
@@ -193,7 +178,7 @@ func checkBaseline(path string, results map[string]fmt.Stringer) error {
 	}
 
 	if checked == 0 && len(failures) == 0 {
-		return fmt.Errorf("%s gates nothing (no csbparallel, ucode, query, bitslice, telemetry, asm or cluster floors)", path)
+		return fmt.Errorf("%s gates nothing (no ucode, query, bitslice, telemetry, asm or cluster floors)", path)
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%d failures (%d floor checks ran):\n  %s",

@@ -88,13 +88,10 @@ func experiments() []experiment {
 		{"fig12", "SVE-style SIMD speedups over scalar", func() (fmt.Stringer, error) {
 			return report.Fig12(workloads.Phoenix()), nil
 		}},
-		{"csbparallel", "serial vs. parallel CSB chain execution (writes BENCH_csb.json)", func() (fmt.Stringer, error) {
-			return csbParallelBench()
-		}},
 		{"ucode", "compile-once microcode: cached vs. direct lowering (writes BENCH_ucode.json)", func() (fmt.Stringer, error) {
 			return ucodeBench()
 		}},
-		{"bitslice", "word-parallel bit-slice engine vs. retired scalar engine (writes BENCH_bitslice.json)", func() (fmt.Stringer, error) {
+		{"bitslice", "bit-slice CSB executor vs. the scalar reference engine (writes BENCH_bitslice.json)", func() (fmt.Stringer, error) {
 			return bitsliceBench()
 		}},
 		{"chaos", "fault injection vs. serving resilience (writes BENCH_chaos.json)", func() (fmt.Stringer, error) {

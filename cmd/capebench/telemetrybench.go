@@ -1,6 +1,6 @@
 // The telemetry experiment measures the cost of the always-on
 // observability substrate (internal/telemetry): per-microop throughput
-// of the compiled bit-slice path with the PMU attached vs. detached,
+// of the CSB's Run with the PMU attached vs. detached,
 // and the flight recorder's event throughput under one and many
 // writers. Counters must stay within a few percent of free — they are
 // never switched off in production — so CI gates the ratio via
@@ -20,15 +20,14 @@ import (
 	"cape/internal/csb"
 	"cape/internal/isa"
 	"cape/internal/telemetry"
-	"cape/internal/tt"
 	"cape/internal/ucode"
 )
 
 var telemetryOut = flag.String("telemetry-out", "BENCH_telemetry.json", "output path for the telemetry JSON report")
 
 // telemetryCounterEntry is one (config, instruction) overhead
-// measurement on the compiled Program path. Ratio is off/on ns — 1.0
-// means the counters are free, 0.97 means they cost 3%.
+// measurement on csb.Run. Ratio is off/on ns — 1.0 means the counters
+// are free, 0.97 means they cost 3%.
 type telemetryCounterEntry struct {
 	Config   string  `json:"config"`
 	Chains   int     `json:"chains"`
@@ -55,7 +54,7 @@ type telemetryBenchReport struct {
 }
 
 func (r telemetryBenchReport) String() string {
-	out := fmt.Sprintf("Always-on telemetry: PMU overhead on the compiled path (worst ratio %.3f; 1.0 = free)\n",
+	out := fmt.Sprintf("Always-on telemetry: PMU overhead on csb.Run (worst ratio %.3f; 1.0 = free)\n",
 		r.CountersRatio)
 	out += fmt.Sprintf("%-9s %7s %-12s %6s %11s %11s %7s\n",
 		"config", "chains", "inst", "µops", "off ns/op", "on ns/op", "ratio")
@@ -66,41 +65,6 @@ func (r telemetryBenchReport) String() string {
 	out += fmt.Sprintf("\nFlight recorder: %.1f M events/s single writer, %.1f M events/s aggregate across %d writers\n",
 		r.FlightMEPS, r.FlightConcurrentMEPS, r.FlightWriters)
 	return out
-}
-
-// timeProgMin times RunProgram over several rounds and returns the
-// fastest round's mean ns/op. Min-of-N discards scheduler noise, which
-// on a loaded CI runner dwarfs the single-digit-percent effect being
-// measured.
-func timeProgMin(c *csb.CSB, p *csb.Program, ops []tt.MicroOp) int64 {
-	const (
-		rounds    = 5
-		roundTime = 60 * time.Millisecond
-		maxReps   = 200
-	)
-	c.RunProgram(p, ops) // warm up
-	start := time.Now()
-	c.RunProgram(p, ops)
-	est := time.Since(start)
-	reps := 1
-	if est > 0 && est < roundTime {
-		reps = int(roundTime / est)
-		if reps > maxReps {
-			reps = maxReps
-		}
-	}
-	best := int64(0)
-	for r := 0; r < rounds; r++ {
-		start = time.Now()
-		for i := 0; i < reps; i++ {
-			c.RunProgram(p, ops)
-		}
-		ns := time.Since(start).Nanoseconds() / int64(reps)
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best
 }
 
 // flightThroughput records events for roughly dur and returns millions
@@ -153,7 +117,7 @@ func telemetryBench() (fmt.Stringer, error) {
 	}
 
 	report := telemetryBenchReport{
-		Note: "off = compiled path with no PMU attached; on = the production configuration " +
+		Note: "off = csb.Run with no PMU attached; on = the production configuration " +
 			"(per-shard PMU, atomic adds amortized per microcode run)",
 	}
 	for _, cfg := range configs {
@@ -163,23 +127,13 @@ func telemetryBench() (fmt.Stringer, error) {
 				return nil, fmt.Errorf("telemetry: generate %s: %w", in.name, err)
 			}
 			ops := seq.Ops()
-			prog := csb.Compile(ops)
 
 			off, on := csb.New(cfg.chains), csb.New(cfg.chains)
 			fillCSB(off)
 			fillCSB(on)
 			on.SetPMU(&telemetry.PMU{})
 
-			// Interleave the two timings so thermal / frequency drift
-			// hits both sides equally.
-			offNS := timeProgMin(off, prog, ops)
-			onNS := timeProgMin(on, prog, ops)
-			if n := timeProgMin(off, prog, ops); n < offNS {
-				offNS = n
-			}
-			if n := timeProgMin(on, prog, ops); n < onNS {
-				onNS = n
-			}
+			offNS, onNS := timePairMin(off, on, ops)
 			report.Entries = append(report.Entries, telemetryCounterEntry{
 				Config:   cfg.name,
 				Chains:   cfg.chains,

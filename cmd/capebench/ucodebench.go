@@ -4,7 +4,7 @@
 // stream, plus end-to-end bit-level workload throughput (simulated
 // cycles per wall-second) with the cache on vs. off. Results go to
 // stdout as a table and to -ucode-out as BENCH_ucode.json so CI can
-// track the lowering speedup alongside BENCH_csb.json.
+// track the lowering speedup.
 package main
 
 import (

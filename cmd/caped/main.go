@@ -15,14 +15,12 @@
 //	-max-timeout D         hard per-job wall-time cap (default 10m)
 //	-max-insts N           default per-job instruction budget
 //	-ram BYTES             main memory per pooled machine
-//	-csb-workers N         CSB worker goroutines per bitlevel machine (0 = serial)
-//	-csb-threshold N       min chains before CSB workers engage (0 = 64)
 //	-ucode-cache N         microcode templates cached per pool shard
 //	                       (0 = default 1024, negative = off)
 //	-asm-cache N           compiled programs cached for source jobs
 //	                       (0 = default 256)
 //	-faults SPEC           deterministic fault injection, e.g.
-//	                       seed=1,hbm-drop=0.01,chain-panic=0.001 (default off)
+//	                       seed=1,hbm-drop=0.01,stuck=0.001 (default off)
 //	-retries N             per-job retry budget for transient faults
 //	                       (0 = default 3, negative = off)
 //	-retry-base D          base backoff between retries (default 5ms)
@@ -30,8 +28,6 @@
 //	-breaker-threshold N   consecutive failures that open a shard's circuit
 //	                       breaker (0 = default 8, negative = off)
 //	-breaker-cooldown D    open-breaker duration before a probe (default 500ms)
-//	-degrade-after N       consecutive chain panics that degrade a shard to
-//	                       serial CSB execution (0 = default 2, negative = off)
 //	-trace                 profile every job (per-job: POST /v1/jobs?trace=1)
 //	-trace-sample N        record every Nth timeline event for traced jobs
 //	-trace-store N         completed traces kept for GET /v1/jobs/{id}/trace
@@ -137,8 +133,6 @@ func run() error {
 		maxTimeout  = flag.Duration("max-timeout", 0, "hard per-job wall-time cap (0 = 10m)")
 		maxInsts    = flag.Int64("max-insts", 0, "default per-job instruction budget (0 = 2e9)")
 		ram         = flag.Int("ram", 0, "main memory bytes per pooled machine (0 = 160 MiB)")
-		csbWorkers  = flag.Int("csb-workers", 0, "CSB worker goroutines per bitlevel machine (0 = serial)")
-		csbThresh   = flag.Int("csb-threshold", 0, "min chain count before CSB workers engage (0 = 64)")
 		ucodeCache  = flag.Int("ucode-cache", 0, "microcode templates cached per pool shard (0 = default, negative = off)")
 		asmCache    = flag.Int("asm-cache", 0, "compiled programs cached for source jobs (0 = default 256)")
 		traceAll    = flag.Bool("trace", false, "profile every job (otherwise per-job via ?trace=1 or the request body)")
@@ -151,13 +145,12 @@ func run() error {
 		sloLatency  = flag.Duration("slo-latency", 0, "SLO per-request latency objective (0 = 2s)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this second listener (empty = off)")
 
-		faults    = flag.String("faults", "", "fault-injection spec, e.g. seed=1,hbm-drop=0.01,chain-panic=0.001 (empty = off)")
+		faults    = flag.String("faults", "", "fault-injection spec, e.g. seed=1,hbm-drop=0.01,stuck=0.001 (empty = off)")
 		retries   = flag.Int("retries", 0, "per-job retry budget for transient faults (0 = default 3, negative = off)")
 		retryBase = flag.Duration("retry-base", 0, "base backoff between retry attempts (0 = 5ms)")
 		retryMax  = flag.Duration("retry-max", 0, "backoff cap between retry attempts (0 = 250ms)")
 		brkThresh = flag.Int("breaker-threshold", 0, "consecutive job failures that open a shard's circuit breaker (0 = default 8, negative = off)")
 		brkCool   = flag.Duration("breaker-cooldown", 0, "open-breaker duration before a half-open probe (0 = 500ms)")
-		degrAfter = flag.Int("degrade-after", 0, "consecutive chain panics that degrade a shard to serial CSB execution (0 = default 2, negative = off)")
 
 		mode         = flag.String("mode", "standalone", "standalone, coordinator, or worker")
 		coordURL     = flag.String("coordinator", "", "coordinator base URL a worker registers with")
@@ -203,32 +196,29 @@ func run() error {
 		}()
 	}
 	opts := cape.ServerOptions{
-		Workers:              *workers,
-		QueueDepth:           *queue,
-		MachinesPerConfig:    *machines,
-		DefaultTimeout:       *timeout,
-		MaxTimeout:           *maxTimeout,
-		DefaultMaxInsts:      *maxInsts,
-		RAMBytes:             *ram,
-		CSBWorkers:           *csbWorkers,
-		CSBParallelThreshold: *csbThresh,
-		UcodeCacheSize:       *ucodeCache,
-		AsmCacheSize:         *asmCache,
-		Faults:               faultCfg,
-		Retries:              *retries,
-		RetryBaseDelay:       *retryBase,
-		RetryMaxDelay:        *retryMax,
-		BreakerThreshold:     *brkThresh,
-		BreakerCooldown:      *brkCool,
-		DegradeAfter:         *degrAfter,
-		TraceAll:             *traceAll,
-		TraceSample:          *traceSample,
-		TraceStoreCap:        *traceStore,
-		JobLog:               logW,
-		Logger:               logger,
-		FlightRecorderCap:    *flightCap,
-		SLOWindow:            *sloWindow,
-		SLOLatencyObjective:  *sloLatency,
+		Workers:             *workers,
+		QueueDepth:          *queue,
+		MachinesPerConfig:   *machines,
+		DefaultTimeout:      *timeout,
+		MaxTimeout:          *maxTimeout,
+		DefaultMaxInsts:     *maxInsts,
+		RAMBytes:            *ram,
+		UcodeCacheSize:      *ucodeCache,
+		AsmCacheSize:        *asmCache,
+		Faults:              faultCfg,
+		Retries:             *retries,
+		RetryBaseDelay:      *retryBase,
+		RetryMaxDelay:       *retryMax,
+		BreakerThreshold:    *brkThresh,
+		BreakerCooldown:     *brkCool,
+		TraceAll:            *traceAll,
+		TraceSample:         *traceSample,
+		TraceStoreCap:       *traceStore,
+		JobLog:              logW,
+		Logger:              logger,
+		FlightRecorderCap:   *flightCap,
+		SLOWindow:           *sloWindow,
+		SLOLatencyObjective: *sloLatency,
 	}
 	srv := cape.NewServer(opts)
 	defer srv.Close()

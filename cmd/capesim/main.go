@@ -23,8 +23,6 @@
 //	-max-insts N               instruction budget (default 2e9)
 //	-dump addr,words           print a memory range after the run
 //	-disasm                    print the assembled program and exit
-//	-csb-workers N             CSB worker goroutines for bitlevel (0 = serial)
-//	-csb-threshold N           min chains before CSB workers engage (0 = 64)
 //	-ucode-cache N             microcode templates cached (0 = default 1024,
 //	                           negative = lower every instruction directly)
 //	-counters                  print the machine's hardware-style perf
@@ -96,8 +94,6 @@ func run() error {
 		maxInsts    = flag.Int64("max-insts", 0, "instruction budget (0 = 2e9)")
 		dump        = flag.String("dump", "", "memory range to print after the run: addr,words")
 		disasm      = flag.Bool("disasm", false, "print the assembled program and exit")
-		csbWorkers  = flag.Int("csb-workers", 0, "CSB worker goroutines for the bitlevel backend (0 = serial)")
-		csbThresh   = flag.Int("csb-threshold", 0, "min chain count before CSB workers engage (0 = 64)")
 		ucodeCache  = flag.Int("ucode-cache", 0, "microcode templates cached (0 = default, negative = off)")
 		counters    = flag.Bool("counters", false, "print the machine's perf counters (PMU) after the run")
 		faults      = flag.String("faults", "", "fault-injection spec, e.g. seed=1,hbm-late=0.1 (empty = off; queue-free, so faults surface as errors, not retries)")
@@ -167,10 +163,8 @@ func run() error {
 		return fmt.Errorf("-faults: %w", err)
 	}
 	opts := server.Options{
-		CSBWorkers:           *csbWorkers,
-		CSBParallelThreshold: *csbThresh,
-		UcodeCacheSize:       *ucodeCache,
-		Faults:               faultCfg,
+		UcodeCacheSize: *ucodeCache,
+		Faults:         faultCfg,
 	}
 	if req.Source != "" {
 		// Unlike caped (whose clients must never read the server's

@@ -95,14 +95,12 @@ const (
 
 // Chain is the functional model of one CAPE chain.
 //
-// Concurrency contract: a Chain is not safe for concurrent use, but
-// distinct Chains are fully independent — all state (subarrays, tags,
-// enable latch, active mask) is private, and the inter-subarray
+// Independence: a Chain is not safe for concurrent use, but distinct
+// Chains are fully independent — all state (subarrays, tags, enable
+// latch, active mask) is private, and the inter-subarray
 // tag-propagation paths (Selector SrcPrevTag/SrcNextTag) connect
 // subarrays within this chain only; the first and last subarray see
-// all-zero neighbours, never another chain's tags. The csb package's
-// parallel executor relies on this to drive disjoint chain ranges from
-// different goroutines.
+// all-zero neighbours, never another chain's tags.
 type Chain struct {
 	subs [SubPerChain]sram.Subarray
 	// enable is the per-column enable latch.

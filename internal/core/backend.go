@@ -136,19 +136,6 @@ func NewBitBackend(chains int) *BitBackend {
 // CSB exposes the underlying block (memory-only mode, tests).
 func (b *BitBackend) CSB() *csb.CSB { return b.csb }
 
-// SetParallelism installs a CSB worker pool so microcode fans out
-// across chains; workers <= 1 keeps execution serial. minChains is the
-// chain-count threshold for using the pool (<= 0 selects
-// csb.DefaultParallelThreshold). The parallel path is bit-identical to
-// serial — see the csb package.
-func (b *BitBackend) SetParallelism(workers, minChains int) {
-	b.csb.SetParallelism(workers, minChains)
-}
-
-// Close releases the CSB worker pool, if any; the backend stays usable
-// serially.
-func (b *BitBackend) Close() { b.csb.Close() }
-
 // SetRecorder installs (or, with nil, removes) the observability
 // recorder on the underlying CSB.
 func (b *BitBackend) SetRecorder(r *obs.Recorder) { b.csb.SetRecorder(r) }
@@ -212,13 +199,7 @@ func (b *BitBackend) Exec(inst isa.Inst, x uint64) (int64, bool) {
 func (b *BitBackend) ExecSeq(inst isa.Inst, seq ucode.Seq) (int64, bool) {
 	w := isa.Window{SEW: b.sew}
 	b.csb.ResetReduction()
-	if p := seq.Program(); p != nil {
-		// Cached template: execute the fused kernel — no per-microop
-		// dispatch, bit- and stats-identical to the interpreter.
-		b.csb.RunProgram(p, seq.Ops())
-	} else {
-		b.csb.Run(seq.Ops())
-	}
+	b.csb.Run(seq.Ops())
 	switch inst.Op {
 	case isa.OpVREDSUM_VS:
 		vd, vs1 := int(inst.Vd), int(inst.Vs1)

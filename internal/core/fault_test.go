@@ -162,25 +162,3 @@ func TestSharedParentInjector(t *testing.T) {
 		t.Fatal("parent counters not shared with machine children")
 	}
 }
-
-// TestDegradedSerialIdentical: forcing the serial bypass changes
-// nothing architecturally.
-func TestDegradedSerialIdentical(t *testing.T) {
-	cfg := CAPE32k()
-	cfg.Chains = 64
-	cfg.Backend = BackendBitLevel
-	cfg.RAMBytes = 1 << 20
-	cfg.CSBWorkers = 3
-	cfg.CSBParallelThreshold = 1
-	mPar := New(cfg)
-	mDeg := New(cfg)
-	mDeg.SetDegradedSerial(true)
-	if !mDeg.DegradedSerial() {
-		t.Fatal("DegradedSerial not reported")
-	}
-	r1, mem1 := runProbe(t, mPar)
-	r2, mem2 := runProbe(t, mDeg)
-	if r1 != r2 || !slices.Equal(mem1, mem2) {
-		t.Fatal("degraded serial run diverged from parallel")
-	}
-}

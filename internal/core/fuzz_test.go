@@ -8,22 +8,20 @@ import (
 	"cape/internal/ucode"
 )
 
-// FuzzBitVsFastBackend is the differential fuzzer behind the parallel
-// CSB work: every input decodes to a random vector instruction
-// sequence — all fast-backend opcodes, .vx scalar forms, window
-// (vstart/vl) changes, aliased registers — which runs on three
-// backends at once:
+// FuzzBitVsFastBackend is the differential fuzzer between the golden
+// ISA semantics and the microcode engine: every input decodes to a
+// random vector instruction sequence — all fast-backend opcodes, .vx
+// scalar forms, window (vstart/vl) changes, aliased registers — which
+// runs on four backends at once:
 //
 //   - FastBackend (golden ISA semantics),
-//   - a serial BitBackend,
-//   - a parallel BitBackend (3 workers over 4 chains, threshold 1,
-//     deliberately not dividing evenly so block boundaries are odd),
-//   - a traced parallel BitBackend with a recorder installed and a
-//     tiny event buffer, so tracing (including span drops) is proven
-//     not to perturb architectural state,
-//   - a serial BitBackend lowering through a deliberately tiny (two
-//     template) ucode cache, so constant eviction, rebuild and scalar
-//     rebinding are proven to never change architectural state.
+//   - a BitBackend lowering every instruction directly (no cache),
+//   - a traced BitBackend with a recorder installed and a tiny event
+//     buffer, so tracing (including span drops) is proven not to
+//     perturb architectural state,
+//   - a BitBackend lowering through a deliberately tiny (two template)
+//     ucode cache, so constant eviction, rebuild and scalar rebinding
+//     are proven to never change architectural state.
 //
 // After every instruction the destination register and any scalar
 // result must agree bit for bit across all backends; at the end the
@@ -143,7 +141,7 @@ func decodeFuzzCase(data []byte) (sew int, lcg uint32, recs []fuzzRecord) {
 	return sew, lcg, recs
 }
 
-// runDifferential executes one decoded case on all three backends and
+// runDifferential executes one decoded case on all four backends and
 // fails on the first architectural divergence.
 func runDifferential(t *testing.T, data []byte) {
 	t.Helper()
@@ -157,13 +155,8 @@ func runDifferential(t *testing.T, data []byte) {
 	}
 
 	fast := NewFastBackend(fuzzMaxVL)
-	serial := NewBitBackend(fuzzChains)
-	parallel := NewBitBackend(fuzzChains)
-	parallel.SetParallelism(3, 1) // 3 workers over 4 chains: uneven blocks
-	defer parallel.Close()
+	direct := NewBitBackend(fuzzChains)
 	traced := NewBitBackend(fuzzChains)
-	traced.SetParallelism(3, 1)
-	defer traced.Close()
 	rec := obs.New(4)
 	rec.SetMaxEvents(64) // force event drops mid-case
 	traced.SetRecorder(rec)
@@ -172,7 +165,7 @@ func runDifferential(t *testing.T, data []byte) {
 	backends := []struct {
 		name string
 		b    Backend
-	}{{"fast", fast}, {"serial", serial}, {"parallel", parallel}, {"traced", traced}, {"cached", cached}}
+	}{{"fast", fast}, {"direct", direct}, {"traced", traced}, {"cached", cached}}
 
 	// Identical masked initial state: the bit-level model stores narrow
 	// elements with zeroed upper slices, so unmasked seeds would differ
@@ -224,8 +217,8 @@ func runDifferential(t *testing.T, data []byte) {
 		}
 	}
 
-	// Whole-register-file sweep plus the CSB-level invariants: parallel
-	// execution must leave literally identical chain state and stats.
+	// Whole-register-file sweep plus the CSB-level invariants: tracing
+	// and caching must leave literally identical chain state and stats.
 	for v := 0; v < fuzzRegs; v++ {
 		for e := 0; e < fuzzMaxVL; e++ {
 			want := fast.ReadElem(v, e)
@@ -237,13 +230,13 @@ func runDifferential(t *testing.T, data []byte) {
 			}
 		}
 	}
-	sd := serial.CSB().StateDigest()
-	for _, bb := range []*BitBackend{parallel, traced, cached} {
+	sd := direct.CSB().StateDigest()
+	for _, bb := range []*BitBackend{traced, cached} {
 		if d := bb.CSB().StateDigest(); d != sd {
-			t.Fatalf("CSB state digest: serial %#x other %#x", sd, d)
+			t.Fatalf("CSB state digest: direct %#x other %#x", sd, d)
 		}
-		if ss, os := serial.CSB().Stats, bb.CSB().Stats; ss != os {
-			t.Fatalf("CSB stats diverged:\nserial %+v\nother  %+v", ss, os)
+		if ds, os := direct.CSB().Stats, bb.CSB().Stats; ds != os {
+			t.Fatalf("CSB stats diverged:\ndirect %+v\nother  %+v", ds, os)
 		}
 	}
 }

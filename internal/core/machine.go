@@ -42,14 +42,6 @@ type Config struct {
 	CP      cp.Config
 	// RAMBytes sizes main memory for the run.
 	RAMBytes int
-	// CSBWorkers sets the host worker-goroutine count the bit-level
-	// backend uses to fan microcode out across chains. 0 or 1 keeps the
-	// chain loop serial; the fast backend ignores it. The parallel path
-	// is bit-identical to serial (see internal/csb).
-	CSBWorkers int
-	// CSBParallelThreshold is the minimum chain count for actually
-	// using the pool; <= 0 selects csb.DefaultParallelThreshold.
-	CSBParallelThreshold int
 	// UcodeCacheSize bounds the microcode template cache in templates:
 	// 0 selects ucode.DefaultCacheSize, negative disables caching so
 	// every instruction lowers directly.
@@ -60,7 +52,7 @@ type Config struct {
 	// cache to every machine of a shard.
 	UcodeCache *ucode.Cache
 	// Faults configures deterministic fault injection (stuck tag bits,
-	// late/dropped HBM transfers, chain-worker panics, budget storms).
+	// late/dropped HBM transfers, budget storms).
 	// The zero value disables it, costing one nil check per microcode
 	// run and per VMU transfer.
 	Faults fault.Config
@@ -196,9 +188,6 @@ func New(cfg Config) *Machine {
 	switch cfg.Backend {
 	case BackendBitLevel:
 		bb := NewBitBackend(cfg.Chains)
-		if cfg.CSBWorkers > 1 {
-			bb.SetParallelism(cfg.CSBWorkers, cfg.CSBParallelThreshold)
-		}
 		bb.SetUcodeCache(m.ucache)
 		bb.SetPMU(m.pmu)
 		m.backend = bb
@@ -250,24 +239,6 @@ func (m *Machine) FaultInjector() *fault.Injector { return m.finj }
 // it — the counters are cumulative, like hardware PMU registers.
 func (m *Machine) PMU() *telemetry.PMU { return m.pmu }
 
-// SetDegradedSerial forces (or, with false, lifts) serial CSB
-// execution on the bit-level backend, keeping the worker pool warm —
-// the serving layer's graceful degradation when fan-out workers are
-// unhealthy. No-op on the fast backend.
-func (m *Machine) SetDegradedSerial(on bool) {
-	if bb, ok := m.backend.(*BitBackend); ok {
-		bb.CSB().SetSerialBypass(on)
-	}
-}
-
-// DegradedSerial reports whether serial CSB execution is forced.
-func (m *Machine) DegradedSerial() bool {
-	if bb, ok := m.backend.(*BitBackend); ok {
-		return bb.CSB().SerialBypass()
-	}
-	return false
-}
-
 // armFaults plans one attempt from the machine's injection stream and
 // arms the CSB/CP hooks with it, returning the disarm/restore
 // function. The VMU's per-transfer faults need no arming — they draw
@@ -276,7 +247,7 @@ func (m *Machine) armFaults() func() {
 	bb, isBit := m.backend.(*BitBackend)
 	plan := m.finj.PlanAttempt(isBit)
 	if isBit {
-		bb.CSB().ArmFaults(m.finj, plan.StuckTagRun, plan.ChainPanicRun)
+		bb.CSB().ArmFaults(m.finj, plan.StuckTagRun)
 	}
 	savedBudget := int64(0)
 	if plan.BudgetFloor > 0 {

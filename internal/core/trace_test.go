@@ -36,14 +36,12 @@ func traceProg() *isa.Program {
 		MustBuild()
 }
 
-func runTraced(t *testing.T, kind BackendKind, workers int) (*Machine, Result) {
+func runTraced(t *testing.T, kind BackendKind) (*Machine, Result) {
 	t.Helper()
 	cfg := CAPE32k()
 	cfg.Chains = 4
 	cfg.Backend = kind
 	cfg.RAMBytes = 1 << 20
-	cfg.CSBWorkers = workers
-	cfg.CSBParallelThreshold = 1
 	cfg.Trace = true
 	m := New(cfg)
 	for i := 0; i < 100; i++ {
@@ -59,19 +57,17 @@ func runTraced(t *testing.T, kind BackendKind, workers int) (*Machine, Result) {
 
 // TestTraceProfileTotalMatchesCycles is the exactness acceptance check:
 // the attribution table must sum to the machine's aggregate cycle count
-// exactly, on every backend, serial and fanned out.
+// exactly, on every backend.
 func TestTraceProfileTotalMatchesCycles(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		kind    BackendKind
-		workers int
+		name string
+		kind BackendKind
 	}{
-		{"fast", BackendFast, 0},
-		{"bit-serial", BackendBitLevel, 0},
-		{"bit-parallel", BackendBitLevel, 3},
+		{"fast", BackendFast},
+		{"bit-serial", BackendBitLevel},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, res := runTraced(t, tc.kind, tc.workers)
+			m, res := runTraced(t, tc.kind)
 			p := m.Recorder().Profile()
 			if got, want := p.TotalCycles(), res.CP.Cycles; got != want {
 				t.Fatalf("profile total %d != machine cycles %d\n%s", got, want, p.Table())
@@ -108,9 +104,9 @@ func TestTraceProfileTotalMatchesCycles(t *testing.T) {
 }
 
 // TestTraceChromeExport checks the timeline is a loadable trace_event
-// document with spans in both clock domains (bit backend, fanned out).
+// document with spans in both clock domains (bit backend).
 func TestTraceChromeExport(t *testing.T) {
-	m, _ := runTraced(t, BackendBitLevel, 3)
+	m, _ := runTraced(t, BackendBitLevel)
 	rec := m.Recorder()
 	if len(rec.Events()) == 0 {
 		t.Fatal("no timeline events")
@@ -186,7 +182,7 @@ func TestTraceDoesNotPerturbExecution(t *testing.T) {
 // place (the same recorder stays installed in CP/VCU/CSB) and a rerun
 // is exact again.
 func TestTraceReset(t *testing.T) {
-	m, _ := runTraced(t, BackendBitLevel, 0)
+	m, _ := runTraced(t, BackendBitLevel)
 	rec := m.Recorder()
 	m.Reset()
 	if got := rec.Profile().TotalCycles(); got != 0 {

@@ -379,15 +379,10 @@ func (bs *bitState) reduceSum(s, wlo, whi int) uint64 {
 
 // executeBitsRange applies the lane-local work of one command to words
 // [wlo, whi) — the word-parallel twin of executeRange, with the same
-// contract: no CSB-level state is touched, KReduce returns a partial
-// popcount for the caller to fold, unknown kinds are rejected by
-// account on the caller.
+// contract: no CSB-level state is touched, KReduce returns the popcount
+// for the caller to fold, unknown kinds are rejected by account on the
+// caller.
 func (c *CSB) executeBitsRange(op *tt.MicroOp, wlo, whi int) uint64 {
-	if wlo >= whi {
-		// Empty block (more workers than words): nothing to do, like an
-		// empty chain range in the scalar engine.
-		return 0
-	}
 	bs := c.bits
 	switch op.Kind {
 	case tt.KSearch:

@@ -12,20 +12,16 @@ import (
 // reference engine (NewScalar). Every input decodes to a random
 // microop-stream case — vector instructions lowered through
 // tt.GenerateSEW, window (vstart/vl) changes, aliased registers — that
-// runs on four engines at once:
+// runs on both engines at once:
 //
 //   - scalar: NewScalar, the per-chain/per-column loop the bit-slice
-//     path replaced (interpreted),
-//   - bits: New, the uint64 bit-slice interpreter,
-//   - prog: New executing the same stream as a compiled Program
-//     (fused per-step closures, one-shot Stats add),
-//   - par: New with an uneven worker split (3 workers over the word/
-//     chain range), so partial-range execution is covered too.
+//     path replaced,
+//   - bits: New, the uint64 bit-slice engine.
 //
 // After every instruction the full architectural digest (registers,
 // tags, enables, window, reduction accumulator), the reduction result
-// and the vfirst priority encoder must agree across all four; at the
-// end the execution statistics must be identical as well. The seed
+// and the vfirst priority encoder must agree; at the end the execution
+// statistics must be identical as well. The seed
 // corpus pins the query microops (vmsearch.vx, vhamm.vx) and vl values
 // straddling the 64-lane word boundary (63/64/65/127/128) with
 // non-zero vstart, so plain `go test` replays the boundary cases that
@@ -76,14 +72,10 @@ func runBitsliceDifferential(t *testing.T, data []byte) {
 
 	scalar := NewScalar(bitsliceChains)
 	bits := New(bitsliceChains)
-	prog := New(bitsliceChains)
-	par := New(bitsliceChains)
-	par.SetParallelism(3, 1) // uneven split of 2 words / 4 chains
-	defer par.Close()
 	engines := []struct {
 		name string
 		c    *CSB
-	}{{"scalar", scalar}, {"bits", bits}, {"prog", prog}, {"par", par}}
+	}{{"scalar", scalar}, {"bits", bits}}
 
 	// Identical masked initial register file on every engine.
 	for v := 0; v < bitsliceRegs; v++ {
@@ -153,14 +145,9 @@ func runBitsliceDifferential(t *testing.T, data []byte) {
 		if err != nil {
 			t.Fatalf("record %d: lower %v: %v", ri, op, err)
 		}
-		p := Compile(ops)
 		for _, en := range engines {
 			en.c.ResetReduction()
-			if en.c == prog {
-				en.c.RunProgram(p, ops)
-			} else {
-				en.c.Run(ops)
-			}
+			en.c.Run(ops)
 		}
 		check(ri, op.String())
 		ri++
@@ -205,7 +192,7 @@ func (c *bitsliceCorpus) inst(op isa.Opcode, vd, vs2, vs1 int, x uint64) *bitsli
 }
 
 // bitsliceSeedCorpus pins the word-boundary windows and query microops
-// on every engine pair.
+// on both engines.
 func bitsliceSeedCorpus() [][]byte {
 	var seeds [][]byte
 	add := func(c *bitsliceCorpus) { seeds = append(seeds, c.data) }

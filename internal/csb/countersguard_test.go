@@ -8,8 +8,8 @@ import (
 )
 
 // TestCountersOnOverheadGuard is the CI gate on the always-on perf
-// counters: the compiled Program path with a PMU attached must stay
-// within 3% of the same path with no PMU, at the paper's CAPE32k
+// counters: Run with a PMU attached must stay within 3% of Run with no
+// PMU, at the paper's CAPE32k
 // chain count. The PMU flush is amortized per microcode run (one
 // Stats diff plus a handful of atomic adds), so the cost is fixed per
 // run regardless of microop count; minimum-of-N timing with retries
@@ -28,7 +28,6 @@ func TestCountersOnOverheadGuard(t *testing.T) {
 		retries = 3
 	)
 	ops := vaddOps(32)
-	prog := Compile(ops)
 	off := New(chains)
 	on := New(chains)
 	on.SetPMU(&telemetry.PMU{})
@@ -36,7 +35,7 @@ func TestCountersOnOverheadGuard(t *testing.T) {
 	run := func(c *CSB) time.Duration {
 		return measure(reps, func() {
 			for b := 0; b < batches; b++ {
-				c.RunProgram(prog, ops)
+				c.Run(ops)
 			}
 		})
 	}
@@ -59,6 +58,6 @@ func TestCountersOnOverheadGuard(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("counters-on RunProgram is %.2f%% slower than counters-off (bound %.0f%%)",
+	t.Fatalf("counters-on Run is %.2f%% slower than counters-off (bound %.0f%%)",
 		(ratio-1)*100, (bound-1)*100)
 }

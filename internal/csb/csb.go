@@ -20,13 +20,9 @@ import (
 // CSB is the functional model of the compute-storage block.
 //
 // Concurrency: a CSB is driven by one goroutine at a time (the machine
-// issues vector instructions strictly in order). When a worker pool is
-// installed with SetParallelism, Execute and Run fan the chain loop of
-// each command out across that pool internally, but the external
-// contract is unchanged: calls are still serial, and all architectural
-// state — including Stats and the reduction accumulator — is updated
-// only by the calling goroutine, so the parallel path is bit- and
-// stats-identical to the serial one.
+// issues vector instructions strictly in order), and every command runs
+// to completion on that goroutine. Host-side parallelism lives above
+// the CSB, in independent machines.
 type CSB struct {
 	// n is the chain count. Exactly one of bits/chains is populated:
 	// New builds the word-parallel bit-slice engine (bits != nil);
@@ -43,36 +39,22 @@ type CSB struct {
 	// shifter + adder + scalar register of §IV-E).
 	redAcc uint64
 
-	// pool fans chain-local work out across worker goroutines; nil runs
-	// everything serially. parThreshold is the minimum chain count for
-	// the parallel path (below it fan-out/join overhead dominates).
-	pool         *workerPool
-	parWorkers   int
-	parThreshold int
-
-	// rec, when non-nil, receives host-time spans for microcode runs and
-	// their fan-out workers. The nil case must stay as cheap as the
-	// untraced simulator: Run tests it once and falls through to the
-	// original loop.
+	// rec, when non-nil, receives one host-time span per sampled
+	// microcode run. The nil case must stay as cheap as the untraced
+	// simulator: Run pays one nil check for it.
 	rec *obs.Recorder
 
-	// finj and the *AtRun indices form the armed per-attempt fault plan
-	// (see fault.go); runIdx counts Run calls since arming and
-	// pendingPanicW is the worker a planned chain panic kills on the
-	// next dispatch. bypass forces serial execution for graceful
-	// degradation. Like tracing, the disarmed hot path pays one nil
-	// check in Run.
-	finj          *fault.Injector
-	stuckAtRun    int64
-	panicAtRun    int64
-	runIdx        int64
-	pendingPanicW int
-	bypass        bool
+	// finj and stuckAtRun form the armed per-attempt fault plan (see
+	// fault.go); runIdx counts Run calls since arming. Like tracing, the
+	// disarmed hot path pays one nil check in Run.
+	finj       *fault.Injector
+	stuckAtRun int64
+	runIdx     int64
 
 	// pmu, when non-nil, receives one CSBDelta per microcode run —
 	// always-on perf counters shared across a pool shard's machines.
 	// Like tracing and fault injection, the disarmed hot path pays one
-	// nil check in run.
+	// nil check in Run.
 	pmu *telemetry.PMU
 
 	// Stats accumulates the microoperation mix executed so far.
@@ -96,7 +78,7 @@ type Stats struct {
 	// Match0Bits/Match1Bits count the comparand bits searches drive
 	// against stored 0s and 1s — the match-line activity proxy the CAM
 	// energy model keys on. Derived from the op encoding alone (see
-	// matchBits), so every engine and the compiled path agree exactly.
+	// matchBits), so both engines agree exactly.
 	Match0Bits uint64
 	Match1Bits uint64
 }
@@ -145,11 +127,9 @@ func New(numChains int) *CSB {
 		panic("csb: chain count must be positive")
 	}
 	c := &CSB{
-		n:             numChains,
-		bits:          newBitState(numChains),
-		stuckAtRun:    -1,
-		panicAtRun:    -1,
-		pendingPanicW: -1,
+		n:          numChains,
+		bits:       newBitState(numChains),
+		stuckAtRun: -1,
 	}
 	c.SetWindow(0, c.MaxVL())
 	return c
@@ -166,11 +146,9 @@ func NewScalar(numChains int) *CSB {
 		panic("csb: chain count must be positive")
 	}
 	c := &CSB{
-		n:             numChains,
-		chains:        make([]*chain.Chain, numChains),
-		stuckAtRun:    -1,
-		panicAtRun:    -1,
-		pendingPanicW: -1,
+		n:          numChains,
+		chains:     make([]*chain.Chain, numChains),
+		stuckAtRun: -1,
 	}
 	for i := range c.chains {
 		c.chains[i] = chain.New()
@@ -387,24 +365,21 @@ func (c *CSB) SetRecorder(r *obs.Recorder) { c.rec = r }
 // updates the statistics. It is the functional equivalent of the chain
 // controllers driving their subarrays for one (or, for combines,
 // several) CSB cycles.
-func (c *CSB) Execute(op tt.MicroOp) {
-	if c.parallelActive() {
-		c.runParallel([]tt.MicroOp{op}, nil, nil)
-		return
-	}
-	c.executeSerial(&op)
-}
+func (c *CSB) Execute(op tt.MicroOp) { c.executeSerial(&op) }
 
-// executeSerial applies one command to every chain and accounts for it,
-// all on the calling goroutine.
+// executeSerial applies one command to every chain and accounts for it.
 func (c *CSB) executeSerial(op *tt.MicroOp) {
-	sum := c.execRange(op, 0, c.units())
+	var sum uint64
+	if c.bits != nil {
+		sum = c.executeBitsRange(op, 0, c.bits.words)
+	} else {
+		sum = c.executeRange(op, 0, c.n)
+	}
 	c.account(op, sum)
 }
 
-// units returns the fan-out unit count of the installed engine: bitmap
-// words for the bit-slice engine, chains for the scalar one. Worker
-// blocks and serial sweeps cover [0, units).
+// units returns the unit count one command sweeps: bitmap words for
+// the bit-slice engine, chains for the scalar one.
 func (c *CSB) units() int {
 	if c.bits != nil {
 		return c.bits.words
@@ -412,23 +387,13 @@ func (c *CSB) units() int {
 	return c.n
 }
 
-// execRange dispatches one command's range work to the installed
-// engine ([lo, hi) in units).
-func (c *CSB) execRange(op *tt.MicroOp, lo, hi int) uint64 {
-	if c.bits != nil {
-		return c.executeBitsRange(op, lo, hi)
-	}
-	return c.executeRange(op, lo, hi)
-}
-
 // executeRange applies the chain-local work of one command to chains
-// [lo, hi). It never touches CSB-level state (Stats, redAcc), so
-// disjoint ranges may execute concurrently: a chain's subarrays, tag
-// bits and enable latch are private to it, and the dedicated
-// neighbour-propagation paths (SrcPrevTag/SrcNextTag) connect subarrays
-// *within* a chain — chain ends see all-zero, never another chain's
-// tags. The only cross-chain structures in the design are the global
-// reduction tree (handled here by returning a partial popcount for the
+// [lo, hi). It never touches CSB-level state (Stats, redAcc): a chain's
+// subarrays, tag bits and enable latch are private to it, and the
+// dedicated neighbour-propagation paths (SrcPrevTag/SrcNextTag) connect
+// subarrays *within* a chain — chain ends see all-zero, never another
+// chain's tags. The only cross-chain structures in the design are the
+// global reduction tree (handled here by returning a popcount for the
 // caller to fold) and the vfirst priority encoder (FirstSetTag).
 // Unknown command kinds are rejected by account, on the caller.
 func (c *CSB) executeRange(op *tt.MicroOp, lo, hi int) uint64 {
@@ -511,9 +476,7 @@ func (c *CSB) executeRange(op *tt.MicroOp, lo, hi int) uint64 {
 }
 
 // account updates the statistics for one executed command and, for
-// reductions, folds the popcount sum into the accumulator. It runs only
-// on the goroutine driving the CSB — never on pool workers — which is
-// what keeps Stats accumulation race-free under internal fan-out.
+// reductions, folds the popcount sum into the accumulator.
 func (c *CSB) account(op *tt.MicroOp, redSum uint64) {
 	switch op.Kind {
 	case tt.KSearch:
@@ -542,53 +505,34 @@ func (c *CSB) account(op *tt.MicroOp, redSum uint64) {
 	c.Stats.Match1Bits += m1
 }
 
-// Run executes a microcode sequence and returns its cycle cost. With a
-// worker pool installed (SetParallelism) the whole sequence is fanned
-// out in a single dispatch: each worker walks every command over its
-// block of chains, which is legal because every command except KReduce
-// is chain-local, and KReduce partials are folded afterwards in
-// deterministic order (see runParallel).
+// Run executes a microcode sequence and returns its cycle cost: one
+// serial loop over the commands, wrapped by three optional hooks — the
+// armed fault plan's tick, a host-time span when the recorder samples
+// this run, and one PMU flush of the run's Stats delta. Each disarmed
+// hook costs a nil check.
 func (c *CSB) Run(ops []tt.MicroOp) int {
-	return c.run(ops, nil)
-}
-
-// RunProgram executes a microcode sequence through its compiled
-// Program (see program.go): the per-step closures skip per-microop
-// dispatch and the sequence's Stats delta is added in one shot. ops
-// must be the exact sequence p was compiled from, modulo the scalar X
-// operand, which the steps read from ops at execution time (how ucode
-// templates bind per-call scalars without recompiling). On the scalar
-// engine, or with a nil program, this falls back to Run — the result
-// is bit- and stats-identical either way.
-func (c *CSB) RunProgram(p *Program, ops []tt.MicroOp) int {
-	if c.bits == nil {
-		p = nil
-	}
-	return c.run(ops, p)
-}
-
-// run is the shared Run/RunProgram body: fault tick, then traced /
-// parallel / serial dispatch, then one PMU flush when counters are
-// wired.
-func (c *CSB) run(ops []tt.MicroOp, p *Program) int {
 	if c.finj != nil {
 		c.faultTick()
 	}
-	if c.pmu == nil {
-		if c.rec != nil {
-			return c.runTraced(ops, p)
-		}
-		return c.exec(ops, p)
+	var before Stats
+	if c.pmu != nil {
+		before = c.Stats
 	}
-	before := c.Stats
-	var cost int
-	if c.rec != nil {
-		cost = c.runTraced(ops, p)
-	} else {
-		cost = c.exec(ops, p)
+	sampled := c.rec != nil && c.rec.Sample()
+	var t0 int64
+	if sampled {
+		t0 = c.rec.SinceNS()
 	}
-	c.pmuFlush(&before, len(ops))
-	return cost
+	for i := range ops {
+		c.executeSerial(&ops[i])
+	}
+	if sampled {
+		c.rec.HostSpan("csb.run", obs.StageCSB, t0, c.rec.SinceNS()-t0, "microops", int64(len(ops)))
+	}
+	if c.pmu != nil {
+		c.pmuFlush(&before, len(ops))
+	}
+	return tt.Cost(ops)
 }
 
 // SetPMU wires (or, with nil, unwires) the always-on perf counters.
@@ -620,49 +564,6 @@ func (c *CSB) pmuFlush(before *Stats, nops int) {
 	c.pmu.AddCSBRun(&d)
 }
 
-// exec picks the execution strategy for one sequence.
-func (c *CSB) exec(ops []tt.MicroOp, p *Program) int {
-	if c.parallelActive() && len(ops) > 0 {
-		return c.runParallel(ops, p, nil)
-	}
-	if p != nil {
-		return c.runProgramSerial(p, ops)
-	}
-	for i := range ops {
-		c.executeSerial(&ops[i])
-	}
-	return tt.Cost(ops)
-}
-
-// runTraced is Run with timeline recording: one host-time span per
-// sampled microcode sequence, plus one span per fan-out worker when
-// the pool is active. The sampling decision is made once per sequence
-// so the coordinator span and its worker spans appear together.
-func (c *CSB) runTraced(ops []tt.MicroOp, p *Program) int {
-	rec := c.rec
-	var wrec *obs.Recorder
-	var t0 int64
-	if rec.Sample() {
-		wrec = rec
-		t0 = rec.SinceNS()
-	}
-	var cost int
-	if c.parallelActive() && len(ops) > 0 {
-		cost = c.runParallel(ops, p, wrec)
-	} else if p != nil {
-		cost = c.runProgramSerial(p, ops)
-	} else {
-		for i := range ops {
-			c.executeSerial(&ops[i])
-		}
-		cost = tt.Cost(ops)
-	}
-	if wrec != nil {
-		wrec.HostSpan("csb.run", obs.StageCSB, 0, t0, rec.SinceNS()-t0, "microops", int64(len(ops)))
-	}
-	return cost
-}
-
 // FirstSetTag scans subarray-0 tag bits in element order and returns
 // the lowest active element index whose tag is set, or -1 — the
 // priority encoder behind vfirst.m.
@@ -671,10 +572,7 @@ func (c *CSB) runTraced(ops []tt.MicroOp, p *Program) int {
 // (chainOf), so for a fixed chain the element index col*N + k is
 // strictly increasing in the column number — TrailingZeros32 over one
 // chain's tags therefore yields that chain's lowest element, and the
-// cross-chain minimum of those candidates is the global first. The scan
-// is cheap (one mask per chain) and runs on the calling goroutine even
-// when a worker pool is installed, so serial and parallel execution see
-// the identical priority-encoder result.
+// cross-chain minimum of those candidates is the global first.
 func (c *CSB) FirstSetTag() int64 {
 	if c.bits != nil {
 		// Lane order is element order, so the first set bit of
@@ -706,8 +604,8 @@ func (c *CSB) FirstSetTag() int64 {
 // StateDigest returns an FNV-1a hash over the complete architectural
 // state of the CSB: window, reduction accumulator, and every chain's
 // enable latch, active mask, tag bits and subarray contents. Two CSBs
-// that executed the same commands — serially or fanned out — must
-// report identical digests; the differential suites key on this.
+// that executed the same commands — on either engine — must report
+// identical digests; the differential suites key on this.
 func (c *CSB) StateDigest() uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -367,3 +367,73 @@ func TestResetPreservesStats(t *testing.T) {
 		t.Fatal("reset should preserve statistics")
 	}
 }
+
+// TestFirstSetTagChainBoundaries pins the element ordering of the
+// priority encoder at chain boundaries. With N chains, element e lives
+// at chain e%N column e/N — so with 4 chains, element 3 (chain 3,
+// column 0) must beat element 4 (chain 0, column 1) even though chain
+// 0 is scanned first.
+func TestFirstSetTagChainBoundaries(t *testing.T) {
+	c := New(4)
+	// vfirst on an all-zero mask register: nothing set.
+	seq, err := tt.GenerateSEW(isa.OpVFIRST_M, 0, 5, 0, 0, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(seq)
+	if got := c.FirstSetTag(); got != -1 {
+		t.Fatalf("empty mask: vfirst = %d want -1", got)
+	}
+
+	// Element 3 = chain 3 col 0; element 4 = chain 0 col 1. The lower
+	// element index wins although it lives in the last chain.
+	c.WriteElement(5, 3, 1)
+	c.WriteElement(5, 4, 1)
+	c.Run(seq)
+	if got := c.FirstSetTag(); got != 3 {
+		t.Fatalf("vfirst = %d want 3 (chain-boundary ordering)", got)
+	}
+
+	// Masking element 3 out via vstart leaves element 4 as first.
+	c.SetWindow(4, c.MaxVL())
+	c.Run(seq)
+	if got := c.FirstSetTag(); got != 4 {
+		t.Fatalf("windowed vfirst = %d want 4", got)
+	}
+
+	// An element past vl is invisible even if its bit is set.
+	c.SetWindow(0, 4)
+	c.Run(seq)
+	if got := c.FirstSetTag(); got != 3 {
+		t.Fatalf("vl-clipped vfirst = %d want 3", got)
+	}
+}
+
+// TestCpopChainBoundaries pins reduction behaviour across chain and
+// window boundaries: the popcount must count exactly the elements in
+// [vstart, vl), regardless of which chain or bitmap word they land in.
+func TestCpopChainBoundaries(t *testing.T) {
+	c := New(4)
+	// Set the mask bit of every element; cpop then counts the window.
+	for e := 0; e < c.MaxVL(); e++ {
+		c.WriteElement(5, e, 1)
+	}
+	seq, err := tt.GenerateSEW(isa.OpVCPOP_M, 0, 5, 0, 0, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct{ vstart, vl int }{
+		{0, 128}, {0, 3}, {3, 5}, {4, 4}, {125, 128}, {1, 127},
+	} {
+		c.SetWindow(w.vstart, w.vl)
+		c.ResetReduction()
+		c.Run(seq)
+		want := uint64(0)
+		if w.vl > w.vstart {
+			want = uint64(w.vl - w.vstart)
+		}
+		if got := c.ReductionResult(); got != want {
+			t.Fatalf("window [%d,%d): cpop = %d want %d", w.vstart, w.vl, got, want)
+		}
+	}
+}

@@ -1,12 +1,8 @@
-// Fault hooks for the CSB: the two CSB-resident fault classes from
-// internal/fault fire here. A stuck tag bit is detected by the chain
+// Fault hooks for the CSB: a stuck tag bit, the one CSB-resident fault
+// class from internal/fault, fires here. It is detected by the chain
 // controller when the defective subarray is searched — modeled as a
 // typed panic out of Run that the serving layer's recover converts to
-// an error, so no corrupted tag ever reaches architectural state. A
-// chain-worker panic kills one fan-out worker mid-dispatch, exercising
-// the dispatch.capture → coordinator re-panic path for real. It can
-// only manifest when the pool is active, which is exactly what the
-// serving layer's degradation-to-serial exploits.
+// an error, so no corrupted tag ever reaches architectural state.
 package csb
 
 import (
@@ -16,32 +12,20 @@ import (
 )
 
 // ArmFaults installs a per-attempt fault plan: inj supplies fault
-// sites, stuckRun/panicRun are the Run call indices (from this arming)
-// at which each class fires, -1 for never. The run counter restarts at
-// every arming, so retry attempts replay the plan from zero.
-func (c *CSB) ArmFaults(inj *fault.Injector, stuckRun, panicRun int64) {
+// sites, stuckRun is the Run call index (from this arming) at which a
+// stuck tag bit fires, -1 for never. The run counter restarts at every
+// arming, so retry attempts replay the plan from zero.
+func (c *CSB) ArmFaults(inj *fault.Injector, stuckRun int64) {
 	c.finj = inj
 	c.stuckAtRun = stuckRun
-	c.panicAtRun = panicRun
 	c.runIdx = 0
-	c.pendingPanicW = -1
 }
 
 // DisarmFaults removes any armed fault plan.
 func (c *CSB) DisarmFaults() {
 	c.finj = nil
 	c.stuckAtRun = -1
-	c.panicAtRun = -1
-	c.pendingPanicW = -1
 }
-
-// SetSerialBypass forces serial execution even with a worker pool
-// installed — the serving layer's graceful degradation when fan-out
-// workers are unhealthy. The pool stays warm for recovery.
-func (c *CSB) SetSerialBypass(on bool) { c.bypass = on }
-
-// SerialBypass reports whether degraded serial execution is forced.
-func (c *CSB) SerialBypass() bool { return c.bypass }
 
 // faultTick advances the per-attempt run counter and fires any fault
 // scheduled for this run. Only called when a plan is armed, so the
@@ -52,17 +36,10 @@ func (c *CSB) faultTick() {
 	if run == c.stuckAtRun {
 		ch, sub := c.finj.PickSite(c.n, chain.SubPerChain)
 		if c.rec != nil && c.rec.Sample() {
-			c.rec.HostSpan("fault.stuck_tag", obs.StageCSB, 0, c.rec.SinceNS(), 0,
+			c.rec.HostSpan("fault.stuck_tag", obs.StageCSB, c.rec.SinceNS(), 0,
 				"chain", int64(ch))
 		}
 		panic(fault.Errorf(fault.ClassStuckTag,
 			"stuck tag bit detected: chain %d subarray %d (run %d)", ch, sub, run))
-	}
-	if run == c.panicAtRun && c.parallelActive() {
-		c.pendingPanicW = c.finj.PickWorker(c.pool.n)
-		if c.rec != nil && c.rec.Sample() {
-			c.rec.HostSpan("fault.chain_panic", obs.StageCSB, 0, c.rec.SinceNS(), 0,
-				"worker", int64(c.pendingPanicW))
-		}
 	}
 }

@@ -66,7 +66,7 @@ func TestStuckTagFires(t *testing.T) {
 	ops := vaddOps(32)
 	c := New(8)
 	inj := fault.New(fault.Config{Seed: 1, StuckTagProb: 1}).Child()
-	c.ArmFaults(inj, 2, -1)
+	c.ArmFaults(inj, 2)
 
 	catching := func() (err error) {
 		defer func() {
@@ -96,64 +96,5 @@ func TestStuckTagFires(t *testing.T) {
 	c.DisarmFaults()
 	if err := catching(); err != nil {
 		t.Fatalf("disarmed CSB still fired: %v", err)
-	}
-}
-
-// TestChainPanicFires: an armed chain-panic plan kills one fan-out
-// worker; the coordinator re-panics with the typed error. On a serial
-// (or bypassed) CSB the same plan cannot manifest — the degradation
-// contract.
-func TestChainPanicFires(t *testing.T) {
-	ops := vaddOps(32)
-	inj := fault.New(fault.Config{Seed: 1, ChainPanicProb: 1}).Child()
-
-	catching := func(c *CSB) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = p.(error)
-			}
-		}()
-		c.Run(ops)
-		return nil
-	}
-
-	par := New(8)
-	par.SetParallelism(3, 1)
-	defer par.Close()
-	par.ArmFaults(inj, -1, 0)
-	err := catching(par)
-	if err == nil {
-		t.Fatal("planned worker panic did not propagate")
-	}
-	if cls, ok := fault.ClassOf(err); !ok || cls != fault.ClassChainPanic {
-		t.Fatalf("ClassOf = %v,%v, want chain_panic", cls, ok)
-	}
-	// The pool must survive the panic: a fresh dispatch still works.
-	par.DisarmFaults()
-	if err := catching(par); err != nil {
-		t.Fatalf("pool unusable after injected panic: %v", err)
-	}
-
-	// Same plan under serial bypass: no workers, no panic, identical
-	// state to a clean serial run.
-	deg := New(8)
-	deg.SetParallelism(3, 1)
-	defer deg.Close()
-	deg.SetSerialBypass(true)
-	if deg.parallelActive() {
-		t.Fatal("bypassed CSB still reports parallelActive")
-	}
-	deg.ArmFaults(inj.Child(), -1, 0)
-	if err := catching(deg); err != nil {
-		t.Fatalf("bypassed CSB manifested a worker panic: %v", err)
-	}
-	plain := New(8)
-	plain.Run(ops)
-	if deg.StateDigest() != plain.StateDigest() {
-		t.Fatal("degraded run diverged from serial")
-	}
-	deg.SetSerialBypass(false)
-	if !deg.parallelActive() {
-		t.Fatal("lifting the bypass did not restore fan-out")
 	}
 }

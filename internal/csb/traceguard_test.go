@@ -99,53 +99,34 @@ func TestTraceDisabledOverheadGuard(t *testing.T) {
 }
 
 // TestTracedRunMatchesSerial: enabling the recorder must not change
-// architectural state, stats, or the returned cycle cost — serial and
-// fanned out.
+// architectural state, stats, or the returned cycle cost, and a traced
+// run records exactly one csb.run span.
 func TestTracedRunMatchesSerial(t *testing.T) {
 	ops := vaddOps(32)
 	plain := New(8)
 	traced := New(8)
-	tracedPar := New(8)
-	tracedPar.SetParallelism(3, 1)
-	defer tracedPar.Close()
-	recs := []*obs.Recorder{obs.New(1), obs.New(1)}
-	traced.SetRecorder(recs[0])
-	tracedPar.SetRecorder(recs[1])
+	rec := obs.New(1)
+	traced.SetRecorder(rec)
 
 	for e := 0; e < plain.MaxVL(); e++ {
 		v1, v2 := uint32(e*7+1), uint32(1000-e)
-		for _, c := range []*CSB{plain, traced, tracedPar} {
+		for _, c := range []*CSB{plain, traced} {
 			c.WriteElement(1, e, v1)
 			c.WriteElement(2, e, v2)
 		}
 	}
 	want := plain.Run(ops)
-	for i, c := range []*CSB{traced, tracedPar} {
-		if got := c.Run(ops); got != want {
-			t.Fatalf("csb %d: cycle cost %d != %d", i, got, want)
-		}
-		if c.StateDigest() != plain.StateDigest() {
-			t.Fatalf("csb %d: state digest diverged under tracing", i)
-		}
-		if c.Stats != plain.Stats {
-			t.Fatalf("csb %d: stats diverged: %+v vs %+v", i, c.Stats, plain.Stats)
-		}
+	if got := traced.Run(ops); got != want {
+		t.Fatalf("cycle cost %d != %d", got, want)
 	}
-	// The serial traced run records the coordinator span; the parallel
-	// one additionally records one span per worker, in worker order.
-	if n := len(recs[0].Events()); n != 1 {
-		t.Fatalf("serial traced run: %d events, want 1", n)
+	if traced.StateDigest() != plain.StateDigest() {
+		t.Fatal("state digest diverged under tracing")
 	}
-	ev := recs[1].Events()
-	if len(ev) != 4 {
-		t.Fatalf("parallel traced run: %d events, want 3 workers + run", len(ev))
+	if traced.Stats != plain.Stats {
+		t.Fatalf("stats diverged: %+v vs %+v", traced.Stats, plain.Stats)
 	}
-	for w := 0; w < 3; w++ {
-		if ev[w].Name != "csb.worker" || ev[w].Tid != int32(w+1) {
-			t.Fatalf("worker span %d out of order: %+v", w, ev[w])
-		}
-	}
-	if ev[3].Name != "csb.run" {
-		t.Fatalf("missing coordinator span: %+v", ev[3])
+	ev := rec.Events()
+	if len(ev) != 1 || ev[0].Name != "csb.run" || ev[0].Val != int64(len(ops)) {
+		t.Fatalf("traced run events: %+v, want one csb.run span over %d microops", ev, len(ops))
 	}
 }

@@ -3,7 +3,7 @@
 // physical failure modes a cache-based core never sees — stuck tag
 // bits in a subarray (the memristor aCAM line treats per-cell defects
 // as a first-class concern), dropped or late memory transfers, and
-// host-side hazards such as a panicking chain worker — and the serving
+// tenant storms that exhaust instruction budgets — and the serving
 // layer must survive all of them. This package models those failure
 // classes as draws from a seeded generator so that a fixed seed
 // reproduces the exact same fault schedule run after run, which is
@@ -11,8 +11,8 @@
 //
 // The injector never corrupts architectural state silently: every
 // injected fault either adds modeled latency (late transfers) or
-// surfaces as a typed *Error (detected stuck bit, dropped transfer,
-// worker panic) or as a collapsed instruction budget
+// surfaces as a typed *Error (detected stuck bit, dropped transfer) or
+// as a collapsed instruction budget
 // (cp.ErrBudgetExceeded). Completed jobs are therefore always
 // bit-identical to a fault-free run; resilience is about completing
 // them anyway.
@@ -45,14 +45,12 @@ const (
 	// ClassHBMDrop is a dropped VMU transfer (unrecoverable device
 	// error on the sub-request stream).
 	ClassHBMDrop
-	// ClassChainPanic is a host-side panic in one CSB fan-out worker.
-	ClassChainPanic
 	// ClassBudgetStorm collapses the attempt's instruction budget,
 	// modeling a tenant storm exhausting per-job budgets.
 	ClassBudgetStorm
 
 	// NumClasses is the number of distinct fault classes.
-	NumClasses = 5
+	NumClasses = 4
 )
 
 func (c Class) String() string {
@@ -63,8 +61,6 @@ func (c Class) String() string {
 		return "hbm_late"
 	case ClassHBMDrop:
 		return "hbm_drop"
-	case ClassChainPanic:
-		return "chain_panic"
 	case ClassBudgetStorm:
 		return "budget_storm"
 	}
@@ -89,10 +85,6 @@ type Config struct {
 	// HBMDropProb is the per-transfer probability that the transfer is
 	// dropped, surfacing ClassHBMDrop.
 	HBMDropProb float64
-	// ChainPanicProb is the per-attempt probability that one CSB
-	// fan-out worker panics mid-run (parallel path only; the serial
-	// path has no workers, which is what degradation exploits).
-	ChainPanicProb float64
 	// BudgetStormProb is the per-attempt probability of a budget
 	// collapse.
 	BudgetStormProb float64
@@ -104,7 +96,7 @@ type Config struct {
 // Enabled reports whether any fault class can fire.
 func (c Config) Enabled() bool {
 	return c.StuckTagProb > 0 || c.HBMLateProb > 0 || c.HBMDropProb > 0 ||
-		c.ChainPanicProb > 0 || c.BudgetStormProb > 0
+		c.BudgetStormProb > 0
 }
 
 // withDefaults fills derived defaults for enabled classes.
@@ -146,7 +138,6 @@ func (c Config) String() string {
 		add("hbm-late-ns", c.HBMLateNS)
 	}
 	add("hbm-drop", c.HBMDropProb)
-	add("chain-panic", c.ChainPanicProb)
 	add("budget-storm", c.BudgetStormProb)
 	if c.BudgetStormProb > 0 {
 		parts = append(parts, fmt.Sprintf("budget-floor=%d", c.BudgetStormFloor))
@@ -156,7 +147,7 @@ func (c Config) String() string {
 
 // ParseSpec parses a comma-separated fault spec such as
 //
-//	seed=7,stuck=0.1,hbm-late=0.3,hbm-late-ns=500,hbm-drop=0.05,chain-panic=0.1,budget-storm=0.05,budget-floor=20000
+//	seed=7,stuck=0.1,hbm-late=0.3,hbm-late-ns=500,hbm-drop=0.05,budget-storm=0.05,budget-floor=20000
 //
 // Empty input yields the disabled zero Config. Probabilities must lie
 // in [0,1].
@@ -196,8 +187,6 @@ func ParseSpec(s string) (Config, error) {
 			}
 		case "hbm-drop":
 			c.HBMDropProb, err = prob()
-		case "chain-panic":
-			c.ChainPanicProb, err = prob()
 		case "budget-storm":
 			c.BudgetStormProb, err = prob()
 		case "budget-floor":
@@ -207,7 +196,7 @@ func ParseSpec(s string) (Config, error) {
 			}
 		default:
 			keys := []string{"seed", "stuck", "hbm-late", "hbm-late-ns", "hbm-drop",
-				"chain-panic", "budget-storm", "budget-floor"}
+				"budget-storm", "budget-floor"}
 			sort.Strings(keys)
 			err = fmt.Errorf("fault: unknown spec key %q (known: %s)", key, strings.Join(keys, ", "))
 		}
@@ -262,7 +251,7 @@ func IsTransient(err error) bool {
 		return false
 	}
 	switch cls {
-	case ClassStuckTag, ClassHBMDrop, ClassChainPanic:
+	case ClassStuckTag, ClassHBMDrop:
 		return true
 	}
 	return false
@@ -378,9 +367,8 @@ func (i *Injector) intn(n int) int {
 }
 
 // attemptFireWindow bounds how many CSB microcode runs into an attempt
-// an armed per-attempt fault manifests: the faulty subarray (or the
-// doomed worker dispatch) is hit within the first few vector
-// instructions. Jobs issuing fewer runs than the drawn index escape
+// an armed per-attempt fault manifests: the faulty subarray is hit
+// within the first few vector instructions. Jobs issuing fewer runs than the drawn index escape
 // the fault — the defective hardware was never exercised.
 const attemptFireWindow = 4
 
@@ -390,30 +378,23 @@ type AttemptPlan struct {
 	// StuckTagRun is the CSB Run index at which a stuck tag bit
 	// manifests, or -1.
 	StuckTagRun int64
-	// ChainPanicRun is the CSB Run index at which one fan-out worker
-	// panics, or -1.
-	ChainPanicRun int64
 	// BudgetFloor, when positive, collapses the attempt's instruction
 	// budget to min(current, BudgetFloor).
 	BudgetFloor int64
 }
 
 // PlanAttempt draws one attempt's fault schedule. bitLevel gates the
-// CSB-resident classes: on the fast functional backend there is no
-// subarray to be defective and no chain fan-out to panic. Each planned
-// fault is counted as injected at draw time.
+// CSB-resident stuck-tag class: on the fast functional backend there
+// is no subarray to be defective. Each planned fault is counted as
+// injected at draw time.
 func (i *Injector) PlanAttempt(bitLevel bool) AttemptPlan {
-	p := AttemptPlan{StuckTagRun: -1, ChainPanicRun: -1}
+	p := AttemptPlan{StuckTagRun: -1}
 	if i == nil {
 		return p
 	}
 	if bitLevel && i.cfg.StuckTagProb > 0 && i.unit() < i.cfg.StuckTagProb {
 		p.StuckTagRun = int64(i.intn(attemptFireWindow))
 		i.note(ClassStuckTag)
-	}
-	if bitLevel && i.cfg.ChainPanicProb > 0 && i.unit() < i.cfg.ChainPanicProb {
-		p.ChainPanicRun = int64(i.intn(attemptFireWindow))
-		i.note(ClassChainPanic)
 	}
 	if i.cfg.BudgetStormProb > 0 && i.unit() < i.cfg.BudgetStormProb {
 		p.BudgetFloor = i.cfg.BudgetStormFloor
@@ -440,14 +421,6 @@ func (i *Injector) HBMDrop() bool {
 	}
 	i.note(ClassHBMDrop)
 	return true
-}
-
-// PickWorker selects the fan-out worker a planned chain panic kills.
-func (i *Injector) PickWorker(n int) int {
-	if i == nil {
-		return 0
-	}
-	return i.intn(n)
 }
 
 // PickSite selects a (chain, subarray) defect site for error detail.

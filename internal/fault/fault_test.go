@@ -3,6 +3,8 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +23,7 @@ func TestDisabledConfig(t *testing.T) {
 		t.Error("nil.Child() != nil")
 	}
 	p := i.PlanAttempt(true)
-	if p.StuckTagRun != -1 || p.ChainPanicRun != -1 || p.BudgetFloor != 0 {
+	if p.StuckTagRun != -1 || p.BudgetFloor != 0 {
 		t.Errorf("nil.PlanAttempt = %+v, want all-disabled", p)
 	}
 	if i.HBMLatePS() != 0 || i.HBMDrop() {
@@ -41,7 +43,7 @@ func TestDeterminism(t *testing.T) {
 	cfg := Config{
 		Seed:         7,
 		StuckTagProb: 0.3, HBMLateProb: 0.4, HBMDropProb: 0.2,
-		ChainPanicProb: 0.3, BudgetStormProb: 0.2,
+		BudgetStormProb: 0.2,
 	}
 	draw := func(seed uint64) string {
 		c := cfg
@@ -50,8 +52,8 @@ func TestDeterminism(t *testing.T) {
 		out := ""
 		for n := 0; n < 64; n++ {
 			p := inj.PlanAttempt(true)
-			out += fmt.Sprintf("%d/%d/%d/%d/%v;",
-				p.StuckTagRun, p.ChainPanicRun, p.BudgetFloor, inj.HBMLatePS(), inj.HBMDrop())
+			out += fmt.Sprintf("%d/%d/%d/%v;",
+				p.StuckTagRun, p.BudgetFloor, inj.HBMLatePS(), inj.HBMDrop())
 		}
 		return out
 	}
@@ -61,6 +63,30 @@ func TestDeterminism(t *testing.T) {
 	}
 	if c := draw(8); c == a {
 		t.Fatal("different seeds drew identical schedules")
+	}
+}
+
+// TestSeededSchedulePinned pins one seeded schedule across all classes
+// to a digest, so a change to the draw order (adding or removing a
+// class) cannot silently reshuffle existing chaos runs.
+func TestSeededSchedulePinned(t *testing.T) {
+	inj := New(Config{
+		Seed:         7,
+		StuckTagProb: 0.3, HBMLateProb: 0.4, HBMDropProb: 0.2,
+		BudgetStormProb: 0.2,
+	}).Child()
+	h := fnv.New64a()
+	for n := 0; n < 256; n++ {
+		p := inj.PlanAttempt(n%3 != 0)
+		fmt.Fprintf(h, "%d/%d/%d/%v;", p.StuckTagRun, p.BudgetFloor, inj.HBMLatePS(), inj.HBMDrop())
+	}
+	ch, sub := inj.PickSite(1024, 32)
+	fmt.Fprintf(h, "%d/%d", ch, sub)
+	if got, want := h.Sum64(), uint64(0x9cbd185d5acd813a); got != want {
+		t.Fatalf("seeded schedule digest %#x, want %#x", got, want)
+	}
+	if got, want := inj.Counts(), [NumClasses]uint64{58, 97, 51, 55}; got != want {
+		t.Fatalf("counts %v, want %v", got, want)
 	}
 }
 
@@ -89,9 +115,9 @@ func TestChildStreams(t *testing.T) {
 // TestPlanAttemptGating: CSB-resident classes never fire on the fast
 // backend; probability-1 classes always fire on the bit backend.
 func TestPlanAttemptGating(t *testing.T) {
-	inj := New(Config{Seed: 3, StuckTagProb: 1, ChainPanicProb: 1, BudgetStormProb: 1}).Child()
+	inj := New(Config{Seed: 3, StuckTagProb: 1, BudgetStormProb: 1}).Child()
 	p := inj.PlanAttempt(false)
-	if p.StuckTagRun != -1 || p.ChainPanicRun != -1 {
+	if p.StuckTagRun != -1 {
 		t.Errorf("fast-backend plan armed CSB faults: %+v", p)
 	}
 	if p.BudgetFloor != 10_000 {
@@ -101,11 +127,8 @@ func TestPlanAttemptGating(t *testing.T) {
 	if p.StuckTagRun < 0 || p.StuckTagRun >= attemptFireWindow {
 		t.Errorf("StuckTagRun = %d, want [0,%d)", p.StuckTagRun, attemptFireWindow)
 	}
-	if p.ChainPanicRun < 0 || p.ChainPanicRun >= attemptFireWindow {
-		t.Errorf("ChainPanicRun = %d, want [0,%d)", p.ChainPanicRun, attemptFireWindow)
-	}
 	counts := inj.Counts()
-	if counts[ClassStuckTag] != 1 || counts[ClassChainPanic] != 1 || counts[ClassBudgetStorm] != 2 {
+	if counts[ClassStuckTag] != 1 || counts[ClassBudgetStorm] != 2 {
 		t.Errorf("counts = %v", counts)
 	}
 }
@@ -117,8 +140,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"off",
 		"seed=7,stuck=0.1",
 		"seed=0x10,hbm-late=0.25,hbm-late-ns=500,hbm-drop=0.05",
-		"seed=9,chain-panic=0.5,budget-storm=0.125,budget-floor=20000",
-		"seed=1,stuck=0.1,hbm-late=0.3,hbm-drop=0.05,chain-panic=0.1,budget-storm=0.05",
+		"seed=9,budget-storm=0.125,budget-floor=20000",
+		"seed=1,stuck=0.1,hbm-late=0.3,hbm-drop=0.05,budget-storm=0.05",
 	}
 	for _, s := range specs {
 		cfg, err := ParseSpec(s)
@@ -159,6 +182,12 @@ func TestParseSpecErrors(t *testing.T) {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", s)
 		}
+	}
+	// An unknown key's error names it and lists the valid ones.
+	_, err := ParseSpec("seed=1,worker-panic=0.1")
+	want := `unknown spec key "worker-panic" (known: budget-floor, budget-storm, hbm-drop, hbm-late, hbm-late-ns, seed, stuck)`
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ParseSpec(worker-panic) error = %v, want %q", err, want)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // Trace Event Format (JSON object form) that chrome://tracing and
 // Perfetto load directly. Two trace "processes" separate the two
 // clock domains: pid 1 is modeled machine time (sim spans, ts =
-// picoseconds / 1e6 µs), pid 2 is host execution time (CSB fan-out
+// picoseconds / 1e6 µs), pid 2 is host execution time (CSB run
 // spans, ts = nanoseconds / 1e3 µs).
 
 const (
@@ -54,14 +54,13 @@ func (r *Recorder) chromeEvents() []chromeEvent {
 		metaEvent("process_name", chromePidSim, 0, "CAPE modeled time (cycles)"),
 		metaEvent("process_name", chromePidHost, 0, "host execution"),
 		metaEvent("thread_name", chromePidSim, 0, "cp/vector pipeline"),
-		metaEvent("thread_name", chromePidHost, 0, "csb coordinator"),
+		metaEvent("thread_name", chromePidHost, 0, "csb"),
 	)
 	for _, s := range spans {
 		e := chromeEvent{
 			Name: s.Name,
 			Cat:  s.Stage.String(),
 			Ph:   "X",
-			Tid:  int(s.Tid),
 		}
 		if s.Host {
 			e.Pid = chromePidHost

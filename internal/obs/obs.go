@@ -13,15 +13,14 @@
 //     CP timeline (VMU transfer time vs. CSB compute time), plus the
 //     microoperation mix of every expanded vector instruction;
 //   - an optional event timeline: instruction spans in simulated time
-//     and CSB fan-out spans in host time, exportable as Chrome
+//     and CSB microcode-run spans in host time, exportable as Chrome
 //     trace_event JSON for chrome://tracing / Perfetto.
 //
 // A nil *Recorder is the disabled tracer: every method is nil-safe,
 // allocation-free and a single predictable branch, so the hot
 // interpreter and chain loops pay nothing when tracing is off. An
-// enabled Recorder is single-goroutine except for explicitly
-// documented read-only helpers (SinceNS) and the per-worker span
-// buffers the CSB merges deterministically at its fan-out join.
+// enabled Recorder is driven by one goroutine: the one running the
+// machine it is installed on.
 package obs
 
 import (
@@ -144,7 +143,6 @@ type Span struct {
 	Name  string
 	Stage Stage
 	Host  bool
-	Tid   int32
 	Start int64
 	Dur   int64
 	Arg   string
@@ -295,8 +293,7 @@ func (r *Recorder) Sample() bool {
 	return r.seen%r.sampleEvery == 0
 }
 
-// SinceNS returns host nanoseconds since the recorder started. It is
-// read-only and safe to call from CSB fan-out workers.
+// SinceNS returns host nanoseconds since the recorder started.
 func (r *Recorder) SinceNS() int64 {
 	if r == nil {
 		return 0
@@ -338,27 +335,11 @@ func (r *Recorder) SimSpanPS(name string, st Stage, startPS, durPS int64, arg st
 
 // HostSpan records a host-time span (nanoseconds since the recorder
 // started, see SinceNS).
-func (r *Recorder) HostSpan(name string, st Stage, tid int32, startNS, durNS int64, arg string, val int64) {
+func (r *Recorder) HostSpan(name string, st Stage, startNS, durNS int64, arg string, val int64) {
 	if r == nil {
 		return
 	}
-	r.addSpan(Span{Name: name, Stage: st, Host: true, Tid: tid, Start: startNS, Dur: durNS, Arg: arg, Val: val})
-}
-
-// AppendSpans bulk-appends pre-built spans. CSB fan-out workers fill
-// per-worker buffers and the coordinator merges them here in worker
-// order after the join, so the timeline is deterministic regardless
-// of scheduling.
-func (r *Recorder) AppendSpans(spans []Span) {
-	if r == nil {
-		return
-	}
-	for i := range spans {
-		if spans[i].Name == "" {
-			continue
-		}
-		r.addSpan(spans[i])
-	}
+	r.addSpan(Span{Name: name, Stage: st, Host: true, Start: startNS, Dur: durNS, Arg: arg, Val: val})
 }
 
 // Profile returns the accumulated profile (nil when disabled).

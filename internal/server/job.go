@@ -199,8 +199,6 @@ func resolveConfig(req Request, opts Options) (core.Config, string, error) {
 		return cfg, "", fmt.Errorf("server: unknown backend %q (want fast or bitlevel)", req.Backend)
 	}
 	cfg.RAMBytes = opts.RAMBytes
-	cfg.CSBWorkers = opts.CSBWorkers
-	cfg.CSBParallelThreshold = opts.CSBParallelThreshold
 	cfg.UcodeCacheSize = opts.UcodeCacheSize
 	cfg.Faults = opts.Faults
 	// Workload jobs bump RAM to the standard input-set layout; mirror

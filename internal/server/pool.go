@@ -44,15 +44,12 @@ type shard struct {
 }
 
 // ShardKey identifies a pool shard: machines are interchangeable iff
-// every field that affects construction matches. CSB worker settings
-// are included because they change what New builds (a pooled serial
-// machine must not satisfy a parallel-config Get, and vice versa), and
-// so is the fault schedule — a machine carrying an injection stream
-// must never serve a fault-free configuration.
+// every field that affects construction matches. The fault schedule is
+// included — a machine carrying an injection stream must never serve a
+// fault-free configuration.
 func ShardKey(cfg core.Config) string {
-	return fmt.Sprintf("%s/chains=%d/backend=%d/ram=%d/csbw=%d/csbt=%d/ucode=%d/faults=%s",
-		cfg.Name, cfg.Chains, cfg.Backend, cfg.RAMBytes, cfg.CSBWorkers, cfg.CSBParallelThreshold,
-		cfg.UcodeCacheSize, cfg.Faults.Key())
+	return fmt.Sprintf("%s/chains=%d/backend=%d/ram=%d/ucode=%d/faults=%s",
+		cfg.Name, cfg.Chains, cfg.Backend, cfg.RAMBytes, cfg.UcodeCacheSize, cfg.Faults.Key())
 }
 
 // NewPool builds a pool holding up to perShard machines per

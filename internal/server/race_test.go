@@ -9,10 +9,10 @@ import (
 	"cape/internal/metrics"
 )
 
-// nestedSource exercises the bit-level hot paths end to end: element
+// bitLevelSource exercises the bit-level hot paths end to end: element
 // loads, serial/parallel arithmetic microcode, a reduction through the
 // accumulator, and a store the test can dump.
-const nestedSource = `
+const bitLevelSource = `
 	li      x1, 64
 	vsetvli x2, x1, e32
 	li      x10, 0x1000
@@ -27,27 +27,25 @@ const nestedSource = `
 	halt
 `
 
-// TestNestedParallelismRace is the issue's nested-parallelism -race
-// coverage: a pool of server workers each driving its own machine
-// while every machine's CSB fans microcode out across its own worker
-// pool. Identical jobs must return bit-identical memory, scalar and
-// cycle results — any cross-machine sharing or intra-machine race
+// TestConcurrentBitLevelJobsRace is the -race coverage for concurrent
+// bit-level jobs on pooled machines: a pool of server workers, each
+// driving its own machine, with the shard's machines sharing one ucode
+// template cache and one PMU. Identical jobs must return bit-identical
+// memory, scalar and cycle results — any cross-machine sharing or race
 // shows up under -race or as a divergent response.
-func TestNestedParallelismRace(t *testing.T) {
+func TestConcurrentBitLevelJobsRace(t *testing.T) {
 	s := New(Options{
-		Workers:              4,
-		QueueDepth:           64,
-		MachinesPerConfig:    4,
-		RAMBytes:             1 << 20,
-		CSBWorkers:           4,
-		CSBParallelThreshold: 1, // engage even on the tiny test config
-		Registry:             metrics.NewRegistry(),
+		Workers:           4,
+		QueueDepth:        64,
+		MachinesPerConfig: 4,
+		RAMBytes:          1 << 20,
+		Registry:          metrics.NewRegistry(),
 	})
 	defer s.Close()
 
 	req := Request{
-		Source:    nestedSource,
-		Name:      "nested",
+		Source:    bitLevelSource,
+		Name:      "concurrent-bitlevel",
 		Config:    "CAPE32k",
 		Chains:    8,
 		Backend:   "bitlevel",
@@ -96,7 +94,7 @@ func TestNestedParallelismRace(t *testing.T) {
 	}
 	for i := 1; i < jobs; i++ {
 		if results[i].cycles != want.cycles {
-			t.Fatalf("job %d: cycles %d vs %d — nondeterministic under parallel CSB",
+			t.Fatalf("job %d: cycles %d vs %d — nondeterministic across pooled machines",
 				i, results[i].cycles, want.cycles)
 		}
 		for e, w := range results[i].mem {
@@ -104,17 +102,5 @@ func TestNestedParallelismRace(t *testing.T) {
 				t.Fatalf("job %d word %d: %#x vs %#x", i, e, w, want.mem[e])
 			}
 		}
-	}
-
-	// The CSB worker settings are part of machine identity: a serial
-	// request must not be served by a pooled parallel machine.
-	spec, err := Compile(req, s.Options())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specSerial := spec.Config
-	specSerial.CSBWorkers = 0
-	if ShardKey(spec.Config) == ShardKey(specSerial) {
-		t.Fatal("shard key must distinguish CSB worker settings")
 	}
 }

@@ -1,9 +1,8 @@
 // Resilience machinery for the serving path: per-job retry with
-// exponential backoff and jitter, a per-shard circuit breaker, and
-// graceful degradation to serial CSB execution when fan-out workers
-// are unhealthy. All of it keys on the typed errors of internal/fault
-// — completed jobs stay bit-identical to fault-free runs because
-// injection only ever delays or kills an attempt, never corrupts it.
+// exponential backoff and jitter and a per-shard circuit breaker. All
+// of it keys on the typed errors of internal/fault — completed jobs
+// stay bit-identical to fault-free runs because injection only ever
+// delays or kills an attempt, never corrupts it.
 package server
 
 import (
@@ -12,8 +11,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"cape/internal/fault"
 )
 
 // ErrBreakerOpen is returned (without running the job) while a shard's
@@ -138,83 +135,6 @@ func (b *Breaker) StateVal() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// shardHealth tracks one pool shard's breaker and degradation state.
-type shardHealth struct {
-	breaker Breaker
-	// degradeAfter consecutive chain-panic faults force the shard's
-	// machines onto the serial CSB path (where fan-out workers cannot
-	// panic); the same count of consecutive successes lifts it.
-	degradeAfter int
-	// onDegrade, when non-nil, observes degradation flips (flight
-	// recorder, logs). Called with h.mu held.
-	onDegrade func(degraded bool)
-
-	mu        sync.Mutex
-	panics    int
-	successes int
-	degraded  bool
-}
-
-func newShardHealth(opts Options) *shardHealth {
-	return &shardHealth{
-		breaker:      Breaker{threshold: opts.BreakerThreshold, cooldown: opts.BreakerCooldown},
-		degradeAfter: opts.DegradeAfter,
-	}
-}
-
-// noteFault records one injected-fault attempt failure.
-func (h *shardHealth) noteFault(cls fault.Class) {
-	if h.degradeAfter <= 0 || cls != fault.ClassChainPanic {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.successes = 0
-	h.panics++
-	if h.panics >= h.degradeAfter && !h.degraded {
-		h.degraded = true
-		if h.onDegrade != nil {
-			h.onDegrade(true)
-		}
-	}
-}
-
-// noteSuccess records one successful attempt.
-func (h *shardHealth) noteSuccess() {
-	if h.degradeAfter <= 0 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.panics = 0
-	if !h.degraded {
-		return
-	}
-	h.successes++
-	if h.successes >= h.degradeAfter {
-		h.degraded = false
-		h.successes = 0
-		if h.onDegrade != nil {
-			h.onDegrade(false)
-		}
-	}
-}
-
-// degradedNow reports whether attempts should run on the serial path.
-func (h *shardHealth) degradedNow() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.degraded
-}
-
-// degradedVal samples degradation for the gauge.
-func (h *shardHealth) degradedVal() int64 {
-	if h.degradedNow() {
-		return 1
-	}
-	return 0
 }
 
 // backoffDelay computes the sleep before retry attempt+1: exponential

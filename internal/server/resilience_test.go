@@ -50,7 +50,6 @@ func chaosOptions(fc fault.Config) Options {
 	o := testOptions()
 	o.Workers = 1
 	o.MachinesPerConfig = 1
-	o.CSBWorkers = 2
 	o.Faults = fc
 	o.RetryBaseDelay = time.Microsecond
 	o.RetryMaxDelay = 10 * time.Microsecond
@@ -118,32 +117,6 @@ func TestStuckTagSurvived(t *testing.T) {
 	}
 }
 
-// TestChainPanicDegrades: with every attempt planning a worker panic,
-// jobs survive only via degradation to the serial path — and the
-// degradation gauge must show it.
-func TestChainPanicDegrades(t *testing.T) {
-	want := cleanChaosMemory(t)
-	s := New(chaosOptions(fault.Config{Seed: 3, ChainPanicProb: 1}))
-	defer s.Close()
-	for i := 0; i < 5; i++ {
-		resp, err := s.Submit(context.Background(), chaosRequest())
-		if err != nil {
-			t.Fatalf("job %d not survived: %v", i, err)
-		}
-		if !slices.Equal(resp.Memory, want) {
-			t.Fatalf("job %d: result diverged", i)
-		}
-	}
-	if got := s.FaultCounts()[fault.ClassChainPanic]; got == 0 {
-		t.Fatal("no chain panics injected at p=1")
-	}
-	// With p=1 every parallel attempt panics, so completed jobs prove
-	// the degraded serial path ran — and getting there took retries.
-	if s.RetryCount() == 0 {
-		t.Fatal("panics were injected but nothing was retried")
-	}
-}
-
 // mustCompile compiles a request against the server's options.
 func mustCompile(t *testing.T, s *Server, req Request) *Spec {
 	t.Helper()
@@ -207,9 +180,9 @@ func TestBreakerOpens(t *testing.T) {
 	if got := httpStatusOf(err); got != http.StatusServiceUnavailable {
 		t.Fatalf("httpStatusOf = %d, want 503", got)
 	}
-	h := s.health(mustCompile(t, s, chaosRequest()).Config)
-	if h.breaker.StateVal() != breakerOpen {
-		t.Fatalf("breaker state = %d, want open", h.breaker.StateVal())
+	b := s.breaker(mustCompile(t, s, chaosRequest()).Config)
+	if b.StateVal() != breakerOpen {
+		t.Fatalf("breaker state = %d, want open", b.StateVal())
 	}
 }
 
@@ -281,7 +254,7 @@ func TestDeadlineDuringRetries(t *testing.T) {
 }
 
 // TestFaultMetricsExposed: /metrics carries the fault counters, the
-// retry counter, and the per-shard breaker/degradation gauges.
+// retry counter, and the per-shard breaker gauge.
 func TestFaultMetricsExposed(t *testing.T) {
 	s := New(chaosOptions(fault.Config{Seed: 42, HBMDropProb: 0.3}))
 	defer s.Close()
@@ -296,7 +269,6 @@ func TestFaultMetricsExposed(t *testing.T) {
 		`caped_faults_injected_total{class="stuck_tag"}`,
 		"caped_retries_total",
 		`caped_breaker_state{shard="`,
-		`caped_degraded_serial{shard="`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

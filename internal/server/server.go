@@ -61,14 +61,6 @@ type Options struct {
 	// RAMBytes sizes pooled machines' main memory (default
 	// workloads.RAMBytes so one shard serves both job kinds).
 	RAMBytes int
-	// CSBWorkers sets the per-machine CSB worker count for bitlevel
-	// jobs: each bit-level machine fans its chain loop out across this
-	// many goroutines (0 or 1 = serial). The result is bit-identical to
-	// serial execution; see internal/csb.
-	CSBWorkers int
-	// CSBParallelThreshold is the minimum chain count before a machine
-	// actually uses its CSB workers (0 = csb.DefaultParallelThreshold).
-	CSBParallelThreshold int
 	// AsmCache is the compiled-program cache source jobs assemble
 	// through. Nil makes New allocate one of AsmCacheSize; set it to
 	// share a cache across servers or pre-warm programs. Compile with a
@@ -93,7 +85,7 @@ type Options struct {
 	// single caped_faults_injected_total counter family.
 	Faults fault.Config
 	// Retries is the per-job retry budget for transient injected
-	// faults (stuck tag, dropped transfer, worker panic): up to
+	// faults (stuck tag, dropped transfer): up to
 	// Retries additional attempts with exponential backoff + jitter.
 	// 0 selects the default 3; negative disables retries.
 	Retries int
@@ -109,12 +101,6 @@ type Options struct {
 	// BreakerCooldown is the open state's duration before a half-open
 	// probe (default 500ms).
 	BreakerCooldown time.Duration
-	// DegradeAfter is the consecutive chain-panic count that degrades
-	// a shard's machines to the serial CSB path (where fan-out workers
-	// cannot panic); the same count of consecutive successes restores
-	// parallel execution. 0 selects the default 2; negative disables
-	// degradation.
-	DegradeAfter int
 	// Registry receives the service metrics (default: a fresh one).
 	Registry *metrics.Registry
 	// TraceAll profiles every job as if each request set Trace
@@ -133,7 +119,7 @@ type Options struct {
 	// handler.
 	JobLog io.Writer
 	// Logger, when non-nil, receives operational structured logs
-	// (breaker transitions, degradation flips, flight dumps) with
+	// (breaker transitions, flight dumps) with
 	// request-id/shard/kind attributes. Nil discards them.
 	Logger *slog.Logger
 	// FlightRecorderCap bounds each shard's flight-recorder ring in
@@ -182,9 +168,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 500 * time.Millisecond
-	}
-	if o.DegradeAfter == 0 {
-		o.DegradeAfter = 2
 	}
 	if o.Registry == nil {
 		o.Registry = metrics.NewRegistry()
@@ -249,10 +232,10 @@ type Server struct {
 	// injector is the parent fault-injection stream shared by every
 	// pooled machine (nil = injection off); retries counts attempt
 	// retries after transient injected faults.
-	injector *fault.Injector
-	retries  *metrics.Counter
-	healthMu sync.Mutex
-	healths  map[string]*shardHealth
+	injector  *fault.Injector
+	retries   *metrics.Counter
+	breakerMu sync.Mutex
+	breakers  map[string]*Breaker
 
 	closeMu sync.RWMutex
 	closed  bool
@@ -296,7 +279,7 @@ func New(opts Options) *Server {
 		}),
 		kindH:    make(map[string]*metrics.Histogram),
 		injector: fault.New(opts.Faults),
-		healths:  make(map[string]*shardHealth),
+		breakers: make(map[string]*Breaker),
 		logger:   opts.Logger,
 	}
 	if s.logger == nil {
@@ -350,9 +333,6 @@ func New(opts Options) *Server {
 				func() uint64 { return s.injector.Count(c) })
 		}
 	}
-	reg.Gauge("caped_csb_workers",
-		"CSB worker goroutines per bit-level machine (0 = serial).", nil).
-		Set(int64(opts.CSBWorkers))
 	// Template-cache effectiveness is sampled live at render time from
 	// the pool's shard caches.
 	reg.CounterFunc("caped_ucode_cache_hits_total",
@@ -601,44 +581,32 @@ func statusOf(err error) string {
 	}
 }
 
-// health returns (creating on first use) the resilience state of the
-// configuration's pool shard, registering its gauges.
-func (s *Server) health(cfg core.Config) *shardHealth {
+// breaker returns (creating on first use) the circuit breaker of the
+// configuration's pool shard, registering its gauge.
+func (s *Server) breaker(cfg core.Config) *Breaker {
 	key := ShardKey(cfg)
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	h, ok := s.healths[key]
+	s.breakerMu.Lock()
+	defer s.breakerMu.Unlock()
+	b, ok := s.breakers[key]
 	if !ok {
-		h = newShardHealth(s.opts)
-		// Breaker and degradation flips land on the shard's flight ring
-		// and the operational log, correlated by shard key.
-		h.breaker.SetOnTransition(func(from, to int64) {
+		b = NewBreaker(s.opts.BreakerThreshold, s.opts.BreakerCooldown)
+		// Breaker flips land on the shard's flight ring and the
+		// operational log, correlated by shard key.
+		b.SetOnTransition(func(from, to int64) {
 			detail := BreakerStateName(from) + "->" + BreakerStateName(to)
 			s.flight.Record(key, "breaker_"+BreakerStateName(to), 0, detail)
 			s.logger.LogAttrs(context.Background(), slog.LevelWarn, "breaker transition",
 				slog.String("shard", key), slog.String("transition", detail))
 		})
-		h.onDegrade = func(degraded bool) {
-			kind := "degraded_serial"
-			if !degraded {
-				kind = "restored_parallel"
-			}
-			s.flight.Record(key, kind, 0, "")
-			s.logger.LogAttrs(context.Background(), slog.LevelWarn, "shard degradation",
-				slog.String("shard", key), slog.Bool("degraded", degraded))
-		}
-		s.healths[key] = h
+		s.breakers[key] = b
 		s.reg.GaugeFunc("caped_breaker_state",
 			"Per-shard circuit breaker state (0 closed, 1 half-open, 2 open).",
-			metrics.Labels{"shard": key}, h.breaker.StateVal)
-		s.reg.GaugeFunc("caped_degraded_serial",
-			"Whether the shard's machines are degraded to serial CSB execution.",
-			metrics.Labels{"shard": key}, h.degradedVal)
+			metrics.Labels{"shard": key}, b.StateVal)
 		// The shard's always-on perf counters join /metrics the first
 		// time the shard serves a job.
 		telemetry.RegisterPMU(s.reg, metrics.Labels{"shard": key}, s.pool.PMU(cfg))
 	}
-	return h
+	return b
 }
 
 // FaultCounts snapshots the injected-fault counters per class (all
@@ -653,7 +621,7 @@ func (s *Server) RetryCount() uint64 { return s.retries.Value() }
 // attempt runs one execution attempt of j, returning the machine for
 // post-reply pooling on success; on failure the machine is returned to
 // the pool immediately.
-func (s *Server) attempt(j *job, h *shardHealth) (*core.Machine, jobDone) {
+func (s *Server) attempt(j *job) (*core.Machine, jobDone) {
 	var d jobDone
 	// Every machine of the shard derives its fault stream from the
 	// server's parent injector (nil = injection off).
@@ -663,7 +631,6 @@ func (s *Server) attempt(j *job, h *shardHealth) (*core.Machine, jobDone) {
 		d.err = fmt.Errorf("server: acquiring machine: %w", err)
 		return nil, d
 	}
-	m.SetDegradedSerial(h.degradedNow())
 	d.resp, d.err = Exec(j.ctx, m, j.spec)
 	if d.err != nil {
 		s.pool.Put(j.spec.Config, m)
@@ -674,13 +641,13 @@ func (s *Server) attempt(j *job, h *shardHealth) (*core.Machine, jobDone) {
 
 // runJob executes one queued job with the resilience loop: breaker
 // check, then up to 1+Retries attempts with backoff for transient
-// injected faults, with shard health driving degradation.
+// injected faults.
 func (s *Server) runJob(j *job) {
 	queueNS := time.Since(j.enqueued).Nanoseconds()
 	s.queueH.Observe(float64(queueNS) / 1e9)
 	s.flight.Record(j.shard, "queue_exit", j.id, fmt.Sprintf("waited %.3fms", float64(queueNS)/1e6))
 
-	h := s.health(j.spec.Config)
+	brk := s.breaker(j.spec.Config)
 	retries := s.opts.Retries
 	if retries < 0 {
 		retries = 0
@@ -691,24 +658,22 @@ func (s *Server) runJob(j *job) {
 	case j.ctx.Err() != nil:
 		// The submitter is gone; skip the run entirely.
 		d.err = j.ctx.Err()
-	case !h.breaker.Allow():
+	case !brk.Allow():
 		d.err = ErrBreakerOpen
 		s.flight.Record(j.shard, "breaker_rejected", j.id, "")
 	default:
 		for attempt := 0; ; attempt++ {
-			m, d = s.attempt(j, h)
+			m, d = s.attempt(j)
 			if d.err == nil {
-				h.noteSuccess()
-				h.breaker.OnResult(true)
+				brk.OnResult(true)
 				break
 			}
 			if cls, ok := fault.ClassOf(d.err); ok {
-				h.noteFault(cls)
 				s.flight.Record(j.shard, "fault_injected", j.id,
 					fmt.Sprintf("attempt %d: %s", attempt, cls))
 			}
 			if attempt >= retries || !fault.IsTransient(d.err) || j.ctx.Err() != nil {
-				h.breaker.OnResult(false)
+				brk.OnResult(false)
 				break
 			}
 			s.retries.Inc()
@@ -716,7 +681,7 @@ func (s *Server) runJob(j *job) {
 				fmt.Sprintf("attempt %d failed: %v", attempt, d.err))
 			if !sleepCtx(j.ctx, backoffDelay(s.opts, attempt)) {
 				d.err = j.ctx.Err()
-				h.breaker.OnResult(false)
+				brk.OnResult(false)
 				break
 			}
 		}

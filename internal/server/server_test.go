@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -253,5 +254,36 @@ func TestSubmitAfterClose(t *testing.T) {
 	s.Close()
 	if _, err := s.Submit(context.Background(), probeRequest(1, false)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
+	}
+}
+
+// TestCloseLeavesNoGoroutines pins that nothing a server starts
+// outlives Close: after one fast and one bit-level job, the goroutine
+// count settles back to where it was before New. The settle loop is
+// bounded and never forces a GC — a goroutine only a finalizer would
+// reap counts as a leak.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(testOptions())
+	for i, backend := range []string{"fast", "bitlevel"} {
+		req := probeRequest(int64(i+1), false)
+		req.Backend = backend
+		resp, err := s.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s job: %v", backend, err)
+		}
+		checkProbe(t, resp, int64(i+1))
+	}
+	s.Close()
+
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		buf := make([]byte, 1<<16)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("%d goroutines before New, %d after Close:\n%s", before, after, buf)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Event is one flight-recorder entry: a structured lifecycle event
-// (admission, queue exit, retry, breaker transition, degradation,
-// fault, terminal status) correlated to a job id where one exists.
+// (admission, queue exit, retry, breaker transition, fault, terminal
+// status) correlated to a job id where one exists.
 type Event struct {
 	// Seq is the event's slot sequence within its shard ring
 	// (monotonic per ring, not global).
@@ -20,7 +20,7 @@ type Event struct {
 	// events before a request resolves to a shard).
 	Shard string `json:"shard,omitempty"`
 	// Kind names the event (job_admitted, queue_exit, job_retry,
-	// breaker_open, degraded_serial, fault_injected, job_done, ...).
+	// breaker_open, fault_injected, job_done, ...).
 	Kind string `json:"kind"`
 	// JobID correlates the event with a request id (0 = shard-level
 	// event such as a breaker transition).

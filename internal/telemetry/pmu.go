@@ -67,7 +67,7 @@ type CSBDelta struct {
 	Reduce         uint64
 	Enable         uint64
 	// Words is the bitmap-word (or chain, on the scalar engine) sweeps
-	// evaluated: fan-out units × microops.
+	// evaluated: words per microop × microops.
 	Words uint64
 	// Lanes is active lanes × microops (lane-slots the window exposed).
 	Lanes uint64
@@ -310,7 +310,7 @@ func RegisterPMU(reg *metrics.Registry, labels metrics.Labels, p *PMU) {
 	reg.CounterFunc("caped_pmu_csb_runs_total",
 		"Microcode sequences executed by the CSB.", labels, p.csbRuns.Load)
 	reg.CounterFunc("caped_pmu_words_evaluated_total",
-		"Bitmap-word sweeps evaluated (fan-out units x microops).", labels, p.wordsEvaluated.Load)
+		"Bitmap-word sweeps evaluated (words per microop x microops).", labels, p.wordsEvaluated.Load)
 	reg.CounterFunc("caped_pmu_lanes_active_total",
 		"Active lane-slots exposed to microops (window lanes x microops).", labels, p.lanesActive.Load)
 	reg.CounterFunc("caped_pmu_csb_cycles_total",

@@ -33,7 +33,6 @@ package ucode
 import (
 	"sync"
 
-	"cape/internal/csb"
 	"cape/internal/isa"
 	"cape/internal/tt"
 	"cape/internal/vcu"
@@ -62,14 +61,6 @@ type template struct {
 	wordsOnce sync.Once
 	words     []vcu.CommandWord
 	wordsErr  error
-
-	// prog is the fused bit-slice kernel (csb.Compile over ops), built
-	// on first use like words. Programs are engine-state-free and read
-	// per-call scalars from the bound ops at execution time, so one
-	// compiled kernel serves every binding of this template and every
-	// machine sharing the cache.
-	progOnce sync.Once
-	prog     *csb.Program
 }
 
 // Seq is one lowered instruction: an immutable-by-convention microop
@@ -107,24 +98,6 @@ func (s Seq) Cost() int {
 		return s.tmpl.cost
 	}
 	return tt.Cost(s.ops)
-}
-
-// Program returns the sequence's fused bit-slice kernel, compiled once
-// per template and cached alongside it (the compile-once pattern the
-// VCU words already use). Uncached sequences (nil template) return
-// nil; callers fall back to the interpreter via csb.Run. Execute the
-// result with csb.RunProgram(prog, seq.Ops()) — the steps read the
-// bound scalar X values from the ops slice, which is why the same
-// program serves every binding.
-func (s Seq) Program() *csb.Program {
-	t := s.tmpl
-	if t == nil {
-		return nil
-	}
-	t.progOnce.Do(func() {
-		t.prog = csb.Compile(t.ops)
-	})
-	return t.prog
 }
 
 // Words returns the 143-bit VCU command words for the sequence. The

@@ -3,6 +3,7 @@ package cape
 import (
 	"context"
 	"net/http"
+	"time"
 
 	"cape/internal/server"
 )
@@ -47,12 +48,18 @@ func ServeWith(ctx context.Context, addr string, s *Server) error {
 	return ServeHandler(ctx, addr, s.Handler())
 }
 
+// readHeaderTimeout bounds how long a connection may take to deliver a
+// request's headers, so a client that connects and never finishes them
+// cannot hold a connection and its goroutine forever. net/http does not
+// apply it to idle keep-alive connections between requests.
+var readHeaderTimeout = 10 * time.Second
+
 // ServeHandler serves an arbitrary handler on addr with the same
 // graceful-shutdown contract as ServeWith: when ctx is canceled the
 // listener closes and in-flight requests finish. Cluster mode mounts
 // the coordinator and worker surfaces through it.
 func ServeHandler(ctx context.Context, addr string, h http.Handler) error {
-	hs := &http.Server{Addr: addr, Handler: h}
+	hs := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {
