@@ -54,6 +54,11 @@ type Level struct {
 	sets     []set
 	numSets  int
 	lineBits uint
+	// tags/dirty/valid back every set's slices (set i owns ways
+	// [i*Ways, (i+1)*Ways)), so Reset clears three arrays in place.
+	tags  []uint64
+	dirty []bool
+	valid []bool
 	// Stats.
 	Hits       uint64
 	Misses     uint64
@@ -69,14 +74,15 @@ func NewLevel(cfg Config) *Level {
 	if numSets == 0 {
 		numSets = 1
 	}
-	l := &Level{cfg: cfg, numSets: numSets}
+	n := numSets * cfg.Ways
+	l := &Level{
+		cfg: cfg, numSets: numSets,
+		tags: make([]uint64, n), dirty: make([]bool, n), valid: make([]bool, n),
+	}
 	l.sets = make([]set, numSets)
 	for i := range l.sets {
-		l.sets[i] = set{
-			tags:  make([]uint64, cfg.Ways),
-			dirty: make([]bool, cfg.Ways),
-			valid: make([]bool, cfg.Ways),
-		}
+		lo, hi := i*cfg.Ways, (i+1)*cfg.Ways
+		l.sets[i] = set{tags: l.tags[lo:hi:hi], dirty: l.dirty[lo:hi:hi], valid: l.valid[lo:hi:hi]}
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		l.lineBits++
@@ -86,6 +92,15 @@ func NewLevel(cfg Config) *Level {
 
 // Config returns the level's configuration.
 func (l *Level) Config() Config { return l.cfg }
+
+// Reset empties the level and zeroes its statistics in place, leaving
+// it equivalent to a fresh NewLevel of the same configuration.
+func (l *Level) Reset() {
+	clear(l.tags)
+	clear(l.dirty)
+	clear(l.valid)
+	l.Hits, l.Misses, l.Writebacks = 0, 0, 0
+}
 
 func (l *Level) index(addr uint64) (setIdx int, tag uint64) {
 	line := addr >> l.lineBits
@@ -228,9 +243,9 @@ func (h *Hierarchy) Access(addr uint64, write bool) Result {
 	return r
 }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics in place, without allocating.
 func (h *Hierarchy) Reset() {
-	for i, l := range h.Levels {
-		h.Levels[i] = NewLevel(l.cfg)
+	for _, l := range h.Levels {
+		l.Reset()
 	}
 }

@@ -151,3 +151,61 @@ func TestReset(t *testing.T) {
 		t.Fatal("reset should clear contents")
 	}
 }
+
+// TestResetAllocatesNothing pins the in-place reset: a pooled
+// machine's CP caches are reset after every job, so Reset must not
+// rebuild the levels.
+func TestResetAllocatesNothing(t *testing.T) {
+	h := NewHierarchy(300, CPL1D, CPL2)
+	for a := uint64(0); a < 1<<20; a += 4096 {
+		h.Access(a, a%3 == 0)
+	}
+	if n := testing.AllocsPerRun(10, h.Reset); n != 0 {
+		t.Fatalf("Hierarchy.Reset allocates %.0f times per call", n)
+	}
+}
+
+// TestResetLevelReplaysLikeFresh: after a random access stream, a
+// reset level must replay a second stream with exactly the hits,
+// misses, writebacks and victims of a freshly built level.
+func TestResetLevelReplaysLikeFresh(t *testing.T) {
+	cfg := Config{Name: "t", SizeBytes: 4096, LineBytes: 64, Ways: 4, LatencyCycles: 1}
+	rng := rand.New(rand.NewSource(7))
+	stream := func() (addrs []uint64, writes []bool) {
+		for i := 0; i < 5000; i++ {
+			addrs = append(addrs, uint64(rng.Intn(1<<15)))
+			writes = append(writes, rng.Intn(3) == 0)
+		}
+		return addrs, writes
+	}
+	replay := func(l *Level, addrs []uint64, writes []bool) []uint64 {
+		var victims []uint64
+		for i, a := range addrs {
+			if !l.Lookup(a, writes[i]) {
+				if wb, v := l.Fill(a, writes[i]); wb {
+					victims = append(victims, v)
+				}
+			}
+		}
+		return victims
+	}
+	used := NewLevel(cfg)
+	warm, warmWrites := stream()
+	replay(used, warm, warmWrites)
+	used.Reset()
+	fresh := NewLevel(cfg)
+	addrs, writes := stream()
+	vu, vf := replay(used, addrs, writes), replay(fresh, addrs, writes)
+	if used.Hits != fresh.Hits || used.Misses != fresh.Misses || used.Writebacks != fresh.Writebacks {
+		t.Fatalf("reset level: hits/misses/writebacks %d/%d/%d, fresh %d/%d/%d",
+			used.Hits, used.Misses, used.Writebacks, fresh.Hits, fresh.Misses, fresh.Writebacks)
+	}
+	if len(vu) != len(vf) {
+		t.Fatalf("victim counts differ: %d vs %d", len(vu), len(vf))
+	}
+	for i := range vu {
+		if vu[i] != vf[i] {
+			t.Fatalf("victim %d: %#x vs %#x", i, vu[i], vf[i])
+		}
+	}
+}

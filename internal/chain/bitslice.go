@@ -17,6 +17,7 @@ package chain
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cape/internal/sram"
 )
@@ -36,6 +37,13 @@ type Bitmaps struct {
 	Enable sram.Bitmap
 	// Active is the active-window mask across all chains.
 	Active sram.Bitmap
+
+	// dirty has bit r set once row r of some subarray may hold a set
+	// lane. Invariant: every unmarked row is all zero in every
+	// subarray, so Reset clears only the marked ones. Every writer that
+	// can set a bit calls MarkRow; writes that can only clear bits
+	// need not.
+	dirty uint64
 }
 
 // NewBitmaps allocates the transposed state for n chains in the reset
@@ -87,14 +95,27 @@ func (b *Bitmaps) Row(s, r int) sram.Bitmap {
 	return b.Rows[s*sram.Rows+r]
 }
 
-// Reset restores the freshly-built state: rows and tags cleared,
-// enable and active all-set.
+// MarkRow records that row r of some subarray may have a lane set, so
+// the next Reset clears it.
+func (b *Bitmaps) MarkRow(r int) { b.dirty |= 1 << uint(r) }
+
+// DirtyRows returns the rows Reset will clear: bit r set means row r
+// may hold a set lane in some subarray.
+func (b *Bitmaps) DirtyRows() uint64 { return b.dirty }
+
+// Reset restores the freshly-built state: marked rows and every tag
+// bank cleared, enable and active all-set. Rows never marked since the
+// last Reset are already zero and are left alone.
 func (b *Bitmaps) Reset() {
-	for i := range b.Rows {
-		b.Rows[i].Fill(false)
+	for d := b.dirty; d != 0; d &= d - 1 {
+		r := bits.TrailingZeros64(d)
+		for s := 0; s < SubPerChain; s++ {
+			clear(b.Rows[s*sram.Rows+r])
+		}
 	}
+	b.dirty = 0
 	for s := range b.Tags {
-		b.Tags[s].Fill(false)
+		clear(b.Tags[s])
 	}
 	b.Enable.Fill(true)
 	b.Active.Fill(true)
@@ -125,7 +146,11 @@ func (b *Bitmaps) PackChain(k int, ch *Chain) {
 	for s := 0; s < SubPerChain; s++ {
 		sub := ch.Sub(s)
 		for r := 0; r < sram.Rows; r++ {
-			b.scatter32(b.Rows[s*sram.Rows+r], k, sub.ReadRow(r))
+			v := sub.ReadRow(r)
+			if v != 0 {
+				b.MarkRow(r)
+			}
+			b.scatter32(b.Rows[s*sram.Rows+r], k, v)
 		}
 		b.scatter32(b.Tags[s], k, sub.Tag())
 	}
@@ -159,5 +184,9 @@ func (b *Bitmaps) ReadRowWise(k, s, r int) uint32 {
 // WriteRowWise scatters a 32-bit word into chain k's lanes of
 // (subarray s, row r).
 func (b *Bitmaps) WriteRowWise(k, s, r int, v uint32) {
-	b.scatter32(b.Row(s, r), k, v)
+	row := b.Row(s, r)
+	if v != 0 {
+		b.MarkRow(r)
+	}
+	b.scatter32(row, k, v)
 }

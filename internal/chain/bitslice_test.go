@@ -137,8 +137,11 @@ func TestBitmapsLayout(t *testing.T) {
 			t.Fatalf("fresh enable/active clear at lane %d", i)
 		}
 	}
-	// Reset restores the fresh state after arbitrary mutation.
+	// Reset restores the fresh state after arbitrary mutation. A direct
+	// row write declares itself with MarkRow, as every engine writer
+	// does; tags, enable and active need no marking.
 	bm.Row(0, 0).Fill(true)
+	bm.MarkRow(0)
 	bm.Tags[7].Fill(true)
 	bm.Enable.Clear(5)
 	bm.Active.Clear(9)
@@ -172,5 +175,37 @@ func TestBitmapsPanics(t *testing.T) {
 			}()
 			tc.f()
 		}()
+	}
+}
+
+// TestBitmapsResetAfterPack: PackChain and WriteRowWise mark every row
+// they set bits in, so Reset after packing random chains restores the
+// exact image of freshly built bitmaps.
+func TestBitmapsResetAfterPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 3
+	bm, fresh := NewBitmaps(n), NewBitmaps(n)
+	for k := 0; k < n; k++ {
+		bm.PackChain(k, randomChain(rng, 32))
+	}
+	bm.WriteRowWise(1, 4, sram.Rows-1, 0x8001)
+	bm.Reset()
+	same := func(what string, a, b sram.Bitmap) {
+		for w := range a {
+			if a[w] != b[w] {
+				t.Fatalf("%s word %d: %#x after Reset, fresh %#x", what, w, a[w], b[w])
+			}
+		}
+	}
+	for i := range bm.Rows {
+		same("row", bm.Rows[i], fresh.Rows[i])
+	}
+	for s := range bm.Tags {
+		same("tag", bm.Tags[s], fresh.Tags[s])
+	}
+	same("enable", bm.Enable, fresh.Enable)
+	same("active", bm.Active, fresh.Active)
+	if d := bm.DirtyRows(); d != 0 {
+		t.Fatalf("Reset left dirty rows %#x", d)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cape/internal/csb"
 	"cape/internal/isa"
@@ -41,7 +42,10 @@ type Backend interface {
 
 // FastBackend holds architectural vector state as plain slices.
 type FastBackend struct {
-	reg    [isa.NumVRegs][]uint32
+	reg [isa.NumVRegs][]uint32
+	// dirty has bit v set once register v may hold a nonzero element;
+	// Reset clears only those registers.
+	dirty  uint32
 	window isa.Window
 }
 
@@ -63,12 +67,13 @@ func (b *FastBackend) SetWindow(vstart, vl, sew int) {
 	b.window = isa.Window{Start: vstart, VL: vl, SEW: sew}
 }
 
-// Reset zeroes every vector register in place and restores the full
-// window.
+// Reset zeroes every register written since the last Reset, in place,
+// and restores the full window.
 func (b *FastBackend) Reset() {
-	for v := range b.reg {
-		clear(b.reg[v])
+	for d := b.dirty; d != 0; d &= d - 1 {
+		clear(b.reg[bits.TrailingZeros32(d)])
 	}
+	b.dirty = 0
 	b.window = isa.Window{Start: 0, VL: b.MaxVL()}
 }
 
@@ -76,7 +81,10 @@ func (b *FastBackend) Reset() {
 func (b *FastBackend) ReadElem(v, e int) uint32 { return b.reg[v][e] }
 
 // WriteElem stores element e of register v.
-func (b *FastBackend) WriteElem(v, e int, val uint32) { b.reg[v][e] = val }
+func (b *FastBackend) WriteElem(v, e int, val uint32) {
+	b.dirty |= 1 << uint(v)
+	b.reg[v][e] = val
+}
 
 // Exec applies golden semantics.
 func (b *FastBackend) Exec(inst isa.Inst, x uint64) (int64, bool) {
@@ -115,6 +123,9 @@ func (b *FastBackend) Exec(inst isa.Inst, x uint64) (int64, bool) {
 	default:
 		panic(fmt.Sprintf("core: fast backend cannot execute %v", inst.Op))
 	}
+	// Every case that reaches here wrote vd; the scalar-result ones
+	// returned above without touching the register file.
+	b.dirty |= 1 << uint(vd)
 	return 0, false
 }
 

@@ -545,12 +545,14 @@ func (m *Machine) instrEnergy(inst isa.Inst, seq ucode.Seq, haveSeq bool) float6
 }
 
 // Reset returns the machine to its power-on state without reallocating
-// RAM or vector storage: main memory and the vector registers are
-// zeroed in place, the CP (scalar registers, predictor, caches, clock,
-// statistics) restarts from zero, and the HBM/VCU/VMU models drop
-// their occupancy and counters. A Run after Reset is bit- and
-// cycle-identical to a Run on a freshly built Machine, which is what
-// makes pooling machines across jobs safe.
+// RAM or vector storage: the RAM pages, vector registers and CSB rows
+// written since the last Reset are zeroed in place (each store tracks
+// what it wrote, so the cost follows the job, not the machine size),
+// the CP (scalar registers, predictor, caches, clock, statistics)
+// restarts from zero, and the HBM/VCU/VMU models drop their occupancy
+// and counters. A Run after Reset is bit- and cycle-identical to a Run
+// on a freshly built Machine, which is what makes pooling machines
+// across jobs safe.
 func (m *Machine) Reset() {
 	m.ram.Reset()
 	m.backend.Reset()

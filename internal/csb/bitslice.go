@@ -248,9 +248,12 @@ func (bs *bitState) selSrc(sel chain.Selector, s int) sram.Bitmap {
 
 // updateRow performs one bulk update of (subarray s, row) under sel
 // over words [wlo, whi). The active mask gates last, exactly like
-// Chain.SelectMask.
+// Chain.SelectMask. Only a write of 1s can dirty a row for Reset.
 func (bs *bitState) updateRow(s, row int, value bool, sel chain.Selector, wlo, whi int) {
 	r := bs.bm.Row(s, row)
+	if value {
+		bs.bm.MarkRow(row)
+	}
 	src := bs.selSrc(sel, s)
 	act := bs.bm.Active
 	// Hoist every selector decision out of the word loop: inversions
@@ -304,6 +307,9 @@ func (bs *bitState) updateSplat(x uint64, row int, wlo, whi int) {
 				r[w] &^= act[w]
 			}
 		}
+	}
+	if uint32(x) != 0 {
+		bs.bm.MarkRow(row)
 	}
 }
 

@@ -344,6 +344,9 @@ func (c *CSB) WriteElement(v, e int, val uint32) {
 		for s := 0; s < chain.SubPerChain; s++ {
 			bm.Row(s, v).SetTo(e, val&(1<<uint(s)) != 0)
 		}
+		if val != 0 {
+			bm.MarkRow(v)
+		}
 		return
 	}
 	k, col := c.chainOf(e)
@@ -646,7 +649,9 @@ func (c *CSB) StateDigest() uint64 {
 }
 
 // Reset clears every chain and the reduction accumulator, and restores
-// the full window. Statistics are preserved.
+// the full window. Statistics are preserved. The bit-slice engine
+// clears only the rows written since the last Reset (see
+// chain.Bitmaps.Reset); the scalar reference clears everything.
 func (c *CSB) Reset() {
 	if c.bits != nil {
 		c.bits.bm.Reset()

@@ -36,6 +36,9 @@ func TestCompileRejectsMalformedSpec(t *testing.T) {
 			"out of range"},
 		{"dump past RAM", Request{Source: "halt", Dump: &DumpSpec{Addr: 1 << 40, Words: 4}},
 			"exceeds RAM"},
+		// The end of this range wraps past 2^64 to a small address.
+		{"dump wrapping past 2^64", Request{Source: "halt", Dump: &DumpSpec{Addr: 1<<64 - 16, Words: 8}},
+			"exceeds RAM"},
 	}
 	for _, tc := range cases {
 		_, err := Compile(tc.req, Options{})

@@ -322,7 +322,9 @@ func Compile(req Request, opts Options) (*Spec, error) {
 		if d.Words < 0 || d.Words > maxDumpWords {
 			return nil, fmt.Errorf("server: dump of %d words out of range (max %d)", d.Words, maxDumpWords)
 		}
-		if d.Addr+uint64(4*d.Words) > uint64(spec.Config.RAMBytes) {
+		// Compare without summing: Addr+bytes can wrap around 2^64.
+		n, size := uint64(4*d.Words), uint64(spec.Config.RAMBytes)
+		if n > size || d.Addr > size-n {
 			return nil, fmt.Errorf("server: dump range %#x+%d words exceeds RAM", d.Addr, d.Words)
 		}
 	}

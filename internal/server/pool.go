@@ -13,11 +13,12 @@ import (
 
 // Pool is a sharded pool of reusable machines: one shard per distinct
 // configuration (name, chain count, backend, RAM size). Building a
-// machine allocates its full main memory — hundreds of megabytes for
-// the paper configurations — so the steady-state job path must reuse
-// machines via Machine.Reset instead of constructing them per job.
-// Each shard lazily builds up to its capacity and then blocks further
-// Gets until a machine is returned.
+// machine allocates its main memory (160 MiB at the workload layout)
+// and its vector state, so the steady-state job path reuses machines
+// via Machine.Reset instead of constructing them per job. Reset costs
+// in proportion to what the previous job wrote, not to the machine's
+// size. Each shard lazily builds up to its capacity and then blocks
+// further Gets until a machine is returned.
 type Pool struct {
 	perShard int
 

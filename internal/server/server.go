@@ -210,6 +210,7 @@ type Server struct {
 	queueH    *metrics.Histogram
 	runH      *metrics.Histogram
 	totalH    *metrics.Histogram
+	resetH    *metrics.Histogram
 
 	traces *traceStore
 	// dumps retains flight-recorder snapshots captured on 5xx
@@ -270,6 +271,8 @@ func New(opts Options) *Server {
 			"Host time a job spent executing on the simulator.", metrics.DefLatencyBuckets, nil),
 		totalH: reg.Histogram("caped_total_seconds",
 			"Host time from submit to completion.", metrics.DefLatencyBuckets, nil),
+		resetH: reg.Histogram("caped_pool_reset_seconds",
+			"Host time resetting a machine before it returns to the pool.", metrics.DefLatencyBuckets, nil),
 		traces: newTraceStore(opts.TraceStoreCap),
 		dumps:  newTraceStore(32),
 		flight: telemetry.NewFlight(opts.FlightRecorderCap),
@@ -633,10 +636,18 @@ func (s *Server) attempt(j *job) (*core.Machine, jobDone) {
 	}
 	d.resp, d.err = Exec(j.ctx, m, j.spec)
 	if d.err != nil {
-		s.pool.Put(j.spec.Config, m)
+		s.putMachine(j.spec.Config, m)
 		return nil, d
 	}
 	return m, d
+}
+
+// putMachine resets m and returns it to the pool, observing the reset
+// on caped_pool_reset_seconds.
+func (s *Server) putMachine(cfg core.Config, m *core.Machine) {
+	t0 := time.Now()
+	s.pool.Put(cfg, m)
+	s.resetH.Observe(time.Since(t0).Seconds())
 }
 
 // runJob executes one queued job with the resilience loop: breaker
@@ -722,11 +733,11 @@ func (s *Server) runJob(j *job) {
 		statusOf(d.err), j.enqueued, runNS, d.err)
 	j.done <- d
 	// The machine is reset and returned only after the reply is
-	// delivered: clearing hundreds of megabytes of RAM takes tens
-	// of milliseconds, and the submitter should not wait on the
-	// cleanup of a machine it no longer uses.
+	// delivered: the reset clears whatever the job wrote, which for a
+	// workload job is tens of megabytes, and the submitter should not
+	// wait on the cleanup of a machine it no longer uses.
 	if m != nil {
-		s.pool.Put(j.spec.Config, m)
+		s.putMachine(j.spec.Config, m)
 	}
 }
 

@@ -287,3 +287,26 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("%d goroutines before New, %d after Close:\n%s", before, after, buf)
 	}
 }
+
+// TestPoolResetObserved: every machine returned to the pool is timed on
+// caped_pool_reset_seconds, so one completed job adds exactly one
+// observation. The reset runs after the reply, so the count is read
+// after Close has waited for the worker.
+func TestPoolResetObserved(t *testing.T) {
+	opts := testOptions()
+	s := New(opts)
+	if _, err := s.Submit(context.Background(), probeRequest(3, false)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if n := s.resetH.Count(); n != 1 {
+		t.Fatalf("caped_pool_reset_seconds has %d observations after one job, want 1", n)
+	}
+	var buf strings.Builder
+	if _, err := opts.Registry.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "caped_pool_reset_seconds_count 1") {
+		t.Fatalf("/metrics lacks the reset observation:\n%s", buf.String())
+	}
+}
